@@ -18,8 +18,6 @@
 #include "core/analysis_cache.h"
 #include "core/bounded_eval.h"
 #include "core/controllability.h"
-#include "exec/compiler.h"
-#include "exec/vm.h"
 #include "obs/journal.h"
 #include "par/worker_pool.h"
 #include "query/parser.h"
@@ -79,23 +77,11 @@ int main() {
   }
 
   BoundedEvaluator evaluator(&db);
-  // Compiled twin: the same batch through the bytecode VM (exec/vm.h) must
-  // scale identically and keep byte-identical accounting at every width.
-  Result<ControllabilityAnalysis> reanalysis =
-      ControllabilityAnalysis::Analyze(q1->body, schema, access);
-  SI_CHECK(reanalysis.ok());
-  auto shared_analysis =
-      std::make_shared<const ControllabilityAnalysis>(*std::move(reanalysis));
-  Result<std::shared_ptr<const exec::CompiledProgram>> program =
-      exec::CompilePlain(*q1, shared_analysis, {p});
-  SI_CHECK(program.ok());
-  exec::PrebuildCompiledIndexes(db, **program);
-  exec::CompiledEvaluator vm(&db);
   // Governed twin of the evaluator: an armed governor with a budget no run
   // can trip pins down the cost of the ledger/lease/replay machinery itself.
   exec::GovernorLimits governed_limits;
   governed_limits.fetch_budget = 1ULL << 60;
-  TablePrinter table({"threads", "batch ms", "compiled ms", "governed ms",
+  TablePrinter table({"threads", "batch ms", "governed ms",
                       "queries/s", "fetches", "index lookups", "verdict"});
   par::WorkerPool& pool = par::WorkerPool::Global();
   uint64_t fetches_at_1 = 0;
@@ -109,24 +95,6 @@ int main() {
     for (int rep = 0; rep < 3; ++rep) {
       batch_ms = std::min(batch_ms, MeasureMs([&] {
         (void)evaluator.EvaluateBatch(*q1, *analysis, batch, nullptr);
-      }));
-    }
-    // Compiled lane: identical batch through the VM — answers and fetch
-    // accounting must match the interpreter at this thread count exactly.
-    BoundedEvalStats compiled_stats;
-    std::vector<Result<AnswerSet>> compiled_results =
-        vm.EvaluateBatch(**program, batch, &compiled_stats);
-    SI_CHECK(compiled_results.size() == results.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      SI_CHECK(compiled_results[i].ok());
-      SI_CHECK(*compiled_results[i] == *results[i]);
-    }
-    SI_CHECK(compiled_stats.base_tuples_fetched == stats.base_tuples_fetched);
-    SI_CHECK(compiled_stats.index_lookups == stats.index_lookups);
-    double compiled_ms = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
-      compiled_ms = std::min(compiled_ms, MeasureMs([&] {
-        (void)vm.EvaluateBatch(**program, batch, nullptr);
       }));
     }
     evaluator.set_limits(governed_limits);
@@ -155,16 +123,13 @@ int main() {
     SI_CHECK(stats.base_tuples_fetched == fetches_at_1);
 
     table.AddRow({std::to_string(threads), FormatDouble(batch_ms, 3),
-                  FormatDouble(compiled_ms, 3), FormatDouble(governed_ms, 3),
+                  FormatDouble(governed_ms, 3),
                   FormatCount(static_cast<uint64_t>(kBatch / (batch_ms / 1e3))),
                   FormatCount(stats.base_tuples_fetched),
                   FormatCount(stats.index_lookups), verdict});
     std::string prefix = "threads_" + std::to_string(threads) + ".";
     report.Add(prefix + "threads", static_cast<uint64_t>(threads));
     report.Add(prefix + "batch_ms", batch_ms);
-    report.Add(prefix + "compiled_batch_ms", compiled_ms);
-    report.Add(prefix + "compiled_base_tuples_fetched",
-               compiled_stats.base_tuples_fetched);
     report.Add(prefix + "governed_batch_ms", governed_ms);
     report.Add(prefix + "governed_base_tuples_fetched",
                governed_stats.base_tuples_fetched);

@@ -16,10 +16,9 @@ namespace scalein {
 /// tests assert it never exceeds the analysis' static bound on conforming
 /// databases.
 ///
-/// Since the unified engine landed, this is a *view* over
-/// `exec::ExecContext` counters: each BoundedEvaluator call runs with a
-/// fresh context (so the fetch budget is per-evaluation) and folds the
-/// context's totals in here via `Accumulate`, letting one stats object
+/// This is a *view* over `exec::ExecContext` counters: each evaluation runs
+/// with a fresh context (so the fetch budget is per-evaluation) and folds
+/// the context's totals in here via `Accumulate`, letting one stats object
 /// aggregate across many evaluations (as the incremental maintainer does).
 struct BoundedEvalStats {
   uint64_t base_tuples_fetched = 0;
@@ -92,11 +91,21 @@ struct BoundedEvalStats {
   }
 };
 
+namespace exec {
+class CompiledEvaluator;
+}
+
 /// The constructive content of Theorem 4.2: executes a controllability
-/// derivation directly, fetching data only through the access paths the
+/// derivation, fetching data only through the access paths the
 /// derivation's atom/chase steps name. On a database conforming to the access
 /// schema, answers equal the reference semantics and the fetch count is
 /// bounded by the derivation's static bound — independent of |D|.
+///
+/// Each entry point compiles the derivation to register bytecode
+/// (exec/compiler.h) and runs it on the VM (exec/vm.h). Nothing is cached:
+/// the analysis belongs to the caller, so the program lives for one call.
+/// A plan that cannot compile (more than 65 534 variables) fails with
+/// InvalidArgument.
 class BoundedEvaluator {
  public:
   /// `db` is mutable only because indexes build on demand; content is never
@@ -162,15 +171,14 @@ class BoundedEvaluator {
       BoundedEvalStats* stats = nullptr) const;
 
   /// Evaluates an embedded-controllability plan (Proposition 4.5) for a CQ.
-  /// `params` must bind exactly the variables the analysis was built with.
-  /// Answers range over head positions whose term is an unbound variable.
+  /// `params` must bind the variables the analysis was built with; extra
+  /// bindings seed the chase like parameters. Answers range over head
+  /// positions whose term is a variable outside the analysis' parameters.
   ///
   /// When the global worker pool has more than one lane and a chase step's
   /// frontier is large enough, the per-frontier loop inside one evaluation
-  /// runs as governed parallel morsels — armed or not. Worker lanes charge
-  /// private logs against per-lane sub-budget leases and the parent replays
-  /// them in morsel order (exec/governed_parallel.h), so answers, fetch
-  /// accounting, and trip verdicts are byte-identical at any thread count.
+  /// runs as governed parallel morsels — armed or not — with answers, fetch
+  /// accounting, and trip verdicts byte-identical at any thread count.
   Result<AnswerSet> EvaluateEmbedded(const EmbeddedCqAnalysis& analysis,
                                      const Binding& params,
                                      BoundedEvalStats* stats = nullptr) const;
@@ -190,10 +198,8 @@ class BoundedEvaluator {
       BoundedEvalStats* stats = nullptr, bool fallback_to_approx = false) const;
 
  private:
-  Result<AnswerSet> EvaluateEmbeddedImpl(const EmbeddedCqAnalysis& analysis,
-                                         const Binding& params,
-                                         exec::ExecContext* ctx,
-                                         bool capture_ops) const;
+  /// A VM carrying this evaluator's limits, enforcement and timing knobs.
+  exec::CompiledEvaluator Vm() const;
 
   Database* db_;
   bool enforce_bounds_ = false;

@@ -76,6 +76,12 @@ std::string OpRef(int32_t op_idx, const CompiledProgram& p) {
 }
 
 std::string LeafText(const LeafCode& leaf, const CompiledProgram& p) {
+  if (leaf.block >= 0) {
+    std::string out = "BLOCK b" + std::to_string(leaf.block) + " " +
+                      OpRef(leaf.op_idx, p);
+    if (!leaf.ext_regs.empty()) out += " ext>" + RegListText(leaf.ext_regs);
+    return out + " CHARGE";
+  }
   if (leaf.is_condition) {
     std::string out = "COND " + OpRef(leaf.op_idx, p);
     out += " resolve{";
@@ -158,6 +164,31 @@ std::string CompiledProgram::Disassemble() const {
       }
     }
     line("EMIT      head=" + RegListText(head_regs) + " CHARGE output-cap");
+    static const char* kBlockKinds[] = {"AND", "OR", "EXISTS", "FORALL"};
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      const BlockCode& block = blocks[b];
+      out += "  b" + std::to_string(b) + "  " +
+             kBlockKinds[static_cast<uint8_t>(block.kind)];
+      if (block.kind == BlockCode::Kind::kAnd) {
+        out += " layout=" + RegListText(block.layout);
+      }
+      if (block.kind == BlockCode::Kind::kExists) {
+        out += " keep=" + PositionsText(std::vector<size_t>(
+                              block.project.begin(), block.project.end()));
+      }
+      out += "\n";
+      for (const PlainStage& stage : block.stages) {
+        if (stage.kind == PlainStage::Kind::kExpand) {
+          out += "        . EXPAND " + LeafText(stage.leaf, *this) + "\n";
+        }
+        for (const LeafCode& neg : stage.negs) {
+          out += "        ! " + LeafText(neg, *this) + "\n";
+        }
+      }
+      for (const LeafCode& kid : block.kids) {
+        out += "        . " + LeafText(kid, *this) + "\n";
+      }
+    }
     return out;
   }
 

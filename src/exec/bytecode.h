@@ -16,9 +16,7 @@ namespace scalein::exec {
 
 /// Register index into a compiled plan's frontier row. The frontier of a
 /// compiled bounded evaluation is a flat array of rows, each `num_regs`
-/// Values wide, with one register per query variable the plan can bind —
-/// replacing the interpreter's per-partial std::map<Variable, Value>
-/// Bindings on the hot path.
+/// Values wide, with one register per query variable the plan can bind.
 using Reg = uint16_t;
 constexpr Reg kNoReg = 0xFFFF;
 
@@ -34,11 +32,9 @@ struct Slot {
   Reg reg = kNoReg;    ///< frontier register (kReg)
 };
 
-/// One per-argument-position action while consuming a fetched row — the
-/// register form of the interpreter's unification loops (PlainExecutor's
-/// `consume`, the embedded chase's assignment extension). Executed in
-/// position order; any failed check rejects the row, exactly like the
-/// interpreter's early returns.
+/// One per-argument-position action while consuming a fetched row (a plain
+/// atom probe, or an embedded chase candidate extending its row). Executed
+/// in position order; any failed check rejects the row.
 struct UnifyStep {
   enum class Kind : uint8_t {
     kCheckConst,  ///< row[pos] must equal consts[index]
@@ -62,13 +58,17 @@ struct CondVar {
   Reg reg = kNoReg;     ///< frontier register (!local)
 };
 
-/// A compiled leaf of a plain §4 derivation: one metered atom probe or one
-/// condition evaluation. One leaf visit replicates one interpreter
-/// Eval(node, opt, env) call on that leaf — same metered charges in the
-/// same order, same distinct-extension count charged to the same op.
+/// One compiled conjunct of a plain §4 derivation: a metered atom probe, a
+/// condition evaluation, or a non-leaf block (`block` ≥ 0). One visit
+/// replicates one Eval(node, opt, env) call of the derivation on that
+/// node — same metered charges in the same order, same distinct-extension
+/// count charged to the same op — and leaves the distinct extensions,
+/// sorted, as ext_width-wide chunks in variable-id order.
 struct LeafCode {
   bool is_condition = false;
   int32_t op_idx = -1;  ///< index into CompiledProgram::ops; -1 when unregistered
+  /// Rules "and"/"or"/"exists"/"forall": index into CompiledProgram::blocks.
+  int32_t block = -1;
 
   // --- rule "atom" ---
   uint32_t relation = 0;  ///< index into CompiledProgram::relations
@@ -97,12 +97,14 @@ struct LeafCode {
 /// One stage of a compiled plain program. A program is a straight-line
 /// sequence of stages over one frontier row buffer:
 ///   kExpand*  [kNegations]  kFinalize  kExistsFinalize*
-/// lowered from the supported option-tree shape
-///   exists* ( and(leaf+; leaf*) | leaf ).
+/// lowered from the option-tree shape
+///   exists* ( and(conj+; conj*) | conj ),
+/// where a conj is a leaf (atom | condition) or a block (or | forall |
+/// exists | and, nested to any depth).
 struct PlainStage {
   enum class Kind : uint8_t {
-    kExpand,          ///< expand every frontier row through one positive leaf
-    kNegations,       ///< filter rows through the safe negation leaves
+    kExpand,          ///< expand every frontier row through one positive conj
+    kNegations,       ///< filter rows through the safe negation conjs
     kFinalize,        ///< sort + dedup on `layout`, charge the "and" op
     kExistsFinalize,  ///< project to `layout`, dedup, charge the "exists" op
   };
@@ -115,6 +117,24 @@ struct PlainStage {
   std::vector<Reg> layout;
 };
 
+/// A non-leaf subderivation visited as one conjunct. A visit starts from
+/// one frontier row and yields the node's distinct extensions, sorted:
+///   kAnd:    `stages` (kExpand* [kNegations]) over a one-row frontier,
+///            extensions read from `layout`;
+///   kOr:     each operand in `kids` order, union of their extensions;
+///   kExists: `kids[0]`, extension columns `project` kept;
+///   kForall: `kids[0]` (premise), then one `kids[1]` (conclusion) check
+///            per premise extension, stopping at the first failure; yields
+///            the empty extension when every check holds.
+struct BlockCode {
+  enum class Kind : uint8_t { kAnd, kOr, kExists, kForall };
+  Kind kind = Kind::kAnd;
+  std::vector<PlainStage> stages;  ///< kAnd
+  std::vector<LeafCode> kids;      ///< kOr / kExists / kForall
+  std::vector<uint16_t> project;   ///< kExists: body chunk columns kept
+  std::vector<Reg> layout;         ///< kAnd: extension registers, id order
+};
+
 /// One embedded chase step inside a compiled atom (Proposition 4.5).
 struct ChaseStepCode {
   const AccessStatement* statement = nullptr;
@@ -122,6 +142,11 @@ struct ChaseStepCode {
   std::vector<size_t> value_positions;  ///< original order
   std::vector<size_t> key_layout;       ///< canonical (the projection index's)
   std::vector<size_t> value_layout;     ///< canonical
+  /// Per value_layout entry: 1 when the position is already bound (the
+  /// projection must agree with it), 0 when the projection binds it. Which
+  /// positions are bound is the same for every candidate, so it is fixed
+  /// at compile time.
+  std::vector<uint8_t> value_bound;
 };
 
 /// One compiled atom of an embedded chase plan.
@@ -138,8 +163,9 @@ struct AtomCode {
 };
 
 /// Prototype of one per-op counter slot, registered into a fresh ExecContext
-/// in table order — reproducing the interpreter's RegisterOps pre-order so
-/// op ids, labels, parents, and static bounds are identical.
+/// in table order: the derivation's nodes in pre-order (each node before
+/// its children, children in evaluation order), so op ids, labels, parents
+/// and static bounds name the derivation the certificate reports.
 struct OpProto {
   std::string label;
   int32_t parent = -1;  ///< index into the prototype table; -1 for the root
@@ -154,8 +180,7 @@ struct PrebuildIndex {
 };
 
 /// A bounded plan lowered to register bytecode: everything the VM
-/// (exec/vm.h) needs to execute the derivation with the exact metered-access
-/// sequence of the interpreter, minus the per-tuple map/set allocations.
+/// (exec/vm.h) needs to execute the derivation's metered-access sequence.
 /// Immutable once built; shared across sessions via the AnalysisCache entry
 /// it is attached to. Pointers into the access schema / analysis stay valid
 /// through `keepalive`.
@@ -168,20 +193,22 @@ struct CompiledProgram {
   std::vector<Value> consts;
   std::vector<std::string> relations;
   std::vector<OpProto> ops;
-  VarSet params;  ///< the parameter set the program was compiled for
+  VarSet params;  ///< the binding's variables the program was compiled for
   std::vector<std::pair<Variable, Reg>> param_regs;  ///< seed from the binding
   double static_bound = 0;  ///< the derivation's Theorem 4.2 / Prop 4.5 M
   std::vector<PrebuildIndex> prebuilds;  ///< hash indexes (plain leaves)
 
   // --- plain ---
   std::vector<PlainStage> stages;
+  std::vector<BlockCode> blocks;  ///< non-leaf conjuncts (LeafCode::block)
   std::vector<Reg> final_layout;  ///< result binding domain, id-sorted
   std::vector<Reg> head_regs;     ///< open head variables in head order
 
   // --- embedded ---
   std::vector<AtomCode> atoms;
-  Cq embed_query;                  ///< for the approx fallback + head shape
+  Cq embed_query;                  ///< for the approx fallback
   std::vector<Reg> embed_head_regs;  ///< open head positions in head order
+  std::vector<size_t> embed_head_positions;  ///< their indices into the head
 
   /// Keeps the analysis (and through it the access schema entries the
   /// compiled statement pointers reference) alive as long as the program.

@@ -16,10 +16,9 @@
 namespace scalein::exec {
 namespace {
 
-/// Keep in sync with bounded_eval.cc's kParallelFrontierThreshold: the
-/// compiled path must fan out at exactly the same frontier widths so the
-/// morsel splits — and therefore the charge-log replay order — stay
-/// identical to the interpreter at every thread count.
+/// Minimum frontier size before a stage's per-row loop is worth fanning out
+/// as governed morsels; below it the submit/merge overhead dominates. The
+/// morsel splits never change observables (exec/governed_parallel.h).
 constexpr size_t kParallelFrontierThreshold = 16;
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -47,9 +46,8 @@ Shared MakeShared(const CompiledProgram& p, const Database* db, bool enforce) {
   return sh;
 }
 
-/// Registers the program's op prototypes into `ctx` in table order —
-/// reproducing the interpreter's RegisterOps pre-order, so op ids, labels,
-/// parents, and static bounds match the interpreted run byte for byte.
+/// Registers the program's op prototypes into `ctx` in table order, so op
+/// ids, labels, parents and static bounds follow the derivation's pre-order.
 void RegisterProgramOps(const CompiledProgram& p, ExecContext* ctx,
                         Shared* sh) {
   sh->ops.reserve(p.ops.size());
@@ -63,14 +61,19 @@ void RegisterProgramOps(const CompiledProgram& p, ExecContext* ctx,
 }
 
 /// Per-lane scratch buffers; worker lanes construct their own, so no state
-/// is shared across a fan-out (mirrors the interpreter's per-worker
-/// PlainExecutor).
+/// is shared across a fan-out.
 struct LaneScratch {
   std::vector<Value> ext;     ///< distinct extensions, ext_width-wide chunks
   std::vector<Value> locals;  ///< one visit's local extension slots
   std::vector<Value> tmp;
   std::vector<uint32_t> idx;
   Tuple key;
+  std::unique_ptr<LaneScratch> inner;  ///< a nested block visit's scratch
+
+  LaneScratch& Inner() {
+    if (inner == nullptr) inner = std::make_unique<LaneScratch>();
+    return *inner;
+  }
 };
 
 /// Runs a leaf's per-position unify steps against a fetched row. The
@@ -187,7 +190,8 @@ Value CondTermValue(const Term& t, const LeafCode& leaf, const Value* row,
   return Value();
 }
 
-/// Register-resolved twin of the interpreter's EvalConditionFormula.
+/// Evaluates a condition formula with its variables read from registers
+/// and the visit's locals.
 bool EvalCondFormula(const Formula& f, const LeafCode& leaf, const Value* row,
                      const Value* locals) {
   switch (f.kind()) {
@@ -219,16 +223,19 @@ bool EvalCondFormula(const Formula& f, const LeafCode& leaf, const Value* row,
   }
 }
 
-/// One leaf visit for one frontier row: the compiled body of the
-/// interpreter's EvalImpl on an atom/condition leaf. Issues the identical
-/// metered charges in the identical order and leaves the distinct
-/// extensions (sorted, ext_width-wide) in `s->ext`. Returns the distinct
-/// extension count — the visit's rows charge.
+uint64_t VisitBlock(const Shared& sh, const LeafCode& leaf, ExecContext* ctx,
+                    const Value* row, LaneScratch* s);
+
+/// One conjunct visit for one frontier row: issues the node's metered
+/// charges in evaluation order and leaves the distinct extensions (sorted,
+/// ext_width-wide) in `s->ext`. Returns the distinct extension count — the
+/// visit's rows charge. A failed context yields no extensions.
 uint64_t VisitLeafImpl(const Shared& sh, const LeafCode& leaf,
                        ExecContext* ctx, const Value* row, OpCounters* op,
                        LaneScratch* s) {
   s->ext.clear();
   if (!ctx->ok()) return 0;
+  if (leaf.block >= 0) return VisitBlock(sh, leaf, ctx, row, s);
   const size_t w = leaf.ext_width;
   if (leaf.is_condition) {
     s->locals.resize(w);
@@ -293,8 +300,8 @@ uint64_t VisitLeafImpl(const Shared& sh, const LeafCode& leaf,
   return SortUniqueChunks(&s->ext, w, &s->idx, &s->tmp);
 }
 
-/// The interpreter's Eval wrapper: rows-charge (or timed direct bump) on
-/// top of the leaf body.
+/// Rows-charge (or timed direct bump) of the visited node's op on top of
+/// the visit itself.
 uint64_t VisitLeaf(const Shared& sh, const LeafCode& leaf, ExecContext* ctx,
                    const Value* row, LaneScratch* s) {
   OpCounters* op =
@@ -323,8 +330,7 @@ struct Frontier {
 };
 
 /// Appends one output row per distinct extension: a copy of `row` with the
-/// leaf's ext registers overwritten. Extension chunks are sorted, so rows
-/// land in the interpreter's BindingSet iteration order.
+/// leaf's ext registers overwritten, in sorted extension order.
 void MergeExtensions(const LeafCode& leaf, const Value* row, size_t w,
                      const LaneScratch& s, uint64_t d,
                      std::vector<Value>* out) {
@@ -343,16 +349,20 @@ void MergeExtensions(const LeafCode& leaf, const Value* row, size_t w,
   }
 }
 
-/// Same predicate as the interpreter's PlainExecutor::ShouldFanOut.
+/// True when a frontier of `items` independent visits is worth fanning out:
+/// wide enough, a pool to run on, not already inside a parallel region
+/// (batch lanes and morsel workers run inline), and the context still clean.
 bool ShouldFanOut(ExecContext* ctx, size_t items) {
   return items >= kParallelFrontierThreshold && par::CurrentLane() < 0 &&
          par::WorkerPool::Global().threads() > 1 && ctx->ok();
 }
 
-/// Builds the one index a leaf can probe before a parallel section (Ensure*
-/// is a const-but-mutating cache fill and must not race).
+/// Builds the indexes a conjunct can probe before a parallel section
+/// (Ensure* is a const-but-mutating cache fill and must not race). A block
+/// builds every index of the program.
 void PrebuildLeaf(const Database& db, const CompiledProgram& p,
                   const LeafCode& leaf) {
+  if (leaf.block >= 0) return PrebuildCompiledIndexes(db, p);
   if (leaf.is_condition || leaf.full_scan) return;
   const Relation* rel = db.FindRelation(p.relations[leaf.relation]);
   if (rel == nullptr) return;
@@ -363,10 +373,9 @@ void PrebuildLeaf(const Database& db, const CompiledProgram& p,
   }
 }
 
-/// Expands every frontier row through one positive leaf, fanning out wide
-/// frontiers as governed morsels exactly like the interpreter's
-/// ExpandParallel. Returns false when the context failed (the interpreter's
-/// EvalAnd `return {}`).
+/// Expands every frontier row through one positive conjunct, fanning out
+/// wide frontiers as governed morsels. Returns false when the context
+/// failed: the conjunction then yields nothing.
 bool ExpandStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
                  Frontier* rows, LaneScratch* s) {
   const size_t w = rows->width;
@@ -414,8 +423,10 @@ bool ExpandStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
   return true;
 }
 
-/// Filters the frontier through the safe negation leaves — sequential loop
-/// or governed morsels over a keep mask, mirroring FilterNegationsParallel.
+/// Filters the frontier through the safe negation conjuncts — sequential
+/// loop, or governed morsels over a keep mask (worker lanes write disjoint
+/// ranges; a discarded morsel is re-executed or irrelevant, because the
+/// conjunction yields nothing once the context fails).
 bool NegationStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
                    Frontier* rows, LaneScratch* s) {
   const size_t w = rows->width;
@@ -449,7 +460,7 @@ bool NegationStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
             keep[i] = filter_one(rows->row(i), ctx, s);
           }
         },
-        [&](size_t ri) {});
+        [](size_t) {});
     if (!ctx->ok()) return false;
     std::vector<Value> next;
     for (size_t i = 0; i < n; ++i) {
@@ -475,10 +486,78 @@ bool NegationStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
   return true;
 }
 
+/// One visit of a non-leaf conjunct (BlockCode) from `row`: its children
+/// are visited with the nested scratch, and the block's own extensions
+/// land sorted and distinct in `s->ext`. Returns their count; a failed
+/// context yields none.
+uint64_t VisitBlock(const Shared& sh, const LeafCode& leaf, ExecContext* ctx,
+                    const Value* row, LaneScratch* s) {
+  const BlockCode& b = sh.p.blocks[leaf.block];
+  const size_t w = sh.p.num_regs;
+  LaneScratch& in = s->Inner();
+  uint64_t n = 0;  // extensions appended to s->ext, duplicates included
+  switch (b.kind) {
+    case BlockCode::Kind::kAnd: {
+      Frontier rows;
+      rows.width = w;
+      rows.buf.assign(row, row + w);
+      for (const PlainStage& stage : b.stages) {
+        const bool ok = stage.kind == PlainStage::Kind::kExpand
+                            ? ExpandStage(sh, stage, ctx, &rows, &in)
+                            : NegationStage(sh, stage, ctx, &rows, &in);
+        if (!ok) return 0;
+      }
+      n = rows.size();
+      for (size_t i = 0; i < n; ++i) {
+        for (Reg r : b.layout) s->ext.push_back(rows.row(i)[r]);
+      }
+      break;
+    }
+    case BlockCode::Kind::kOr:
+      for (const LeafCode& kid : b.kids) {
+        const uint64_t d = VisitLeaf(sh, kid, ctx, row, &in);
+        if (!ctx->ok()) {
+          s->ext.clear();
+          return 0;
+        }
+        s->ext.insert(s->ext.end(), in.ext.begin(),
+                      in.ext.begin() + d * kid.ext_width);
+        n += d;
+      }
+      break;
+    case BlockCode::Kind::kExists: {
+      const LeafCode& body = b.kids[0];
+      n = VisitLeaf(sh, body, ctx, row, &in);
+      for (uint64_t k = 0; k < n; ++k) {
+        for (uint16_t c : b.project) {
+          s->ext.push_back(in.ext[k * body.ext_width + c]);
+        }
+      }
+      break;
+    }
+    case BlockCode::Kind::kForall: {
+      const LeafCode& premise = b.kids[0];
+      const uint64_t d = VisitLeaf(sh, premise, ctx, row, &in);
+      if (!ctx->ok()) return 0;
+      std::vector<Value> premise_rows;
+      MergeExtensions(premise, row, w, in, d, &premise_rows);
+      for (uint64_t k = 0; k < d; ++k) {
+        if (VisitLeaf(sh, b.kids[1], ctx, premise_rows.data() + k * w, &in) ==
+                0 ||
+            !ctx->ok()) {
+          return 0;
+        }
+      }
+      return 1;
+    }
+  }
+  if (leaf.ext_width == 0) return n > 0 ? 1 : 0;
+  return SortUniqueChunks(&s->ext, leaf.ext_width, &s->idx, &s->tmp);
+}
+
 /// Sorts + dedups the frontier on the stage's binding-domain layout
-/// (variable-id order ⇒ std::set<Binding> order) and charges the owning
-/// "and"/"exists" op with the distinct count — the interpreter's BindingSet
-/// materialization. Rows equal on the layout are duplicates over every
+/// (variable-id order) and charges the owning "and"/"exists" op with the
+/// distinct count. Rows equal on the layout are duplicates over every
 /// register read downstream, so the unstable sort is observation-free.
 void FinalizeStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
                    Frontier* rows, LaneScratch* s, uint64_t eval_start) {
@@ -534,10 +613,9 @@ void FinalizeStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
 }
 
 /// Straight-line stage loop over one frontier buffer. On a context failure
-/// the remaining expand/negation stages are skipped entirely (the
-/// interpreter abandons those subtree visits with no charges), but the
-/// finalize/project stages still run — EvalAnd's `return {}` still flows
-/// through the and/exists Eval wrappers, charging zero rows.
+/// the remaining expand/negation stages are skipped entirely (no further
+/// charges), but the finalize/project stages still run, charging zero rows
+/// to the and/exists ops.
 void RunPlainProgram(const Shared& sh, ExecContext* ctx, const Binding& params,
                      Frontier* rows, LaneScratch* s) {
   const CompiledProgram& p = sh.p;
@@ -571,7 +649,7 @@ void RunPlainProgram(const Shared& sh, ExecContext* ctx, const Binding& params,
   }
 }
 
-Status CheckPlainParams(const CompiledProgram& p, const Binding& params) {
+Status CheckParams(const CompiledProgram& p, const Binding& params) {
   VarSet vars;
   for (const auto& [v, val] : params) {
     (void)val;
@@ -585,69 +663,42 @@ Status CheckPlainParams(const CompiledProgram& p, const Binding& params) {
   return Status::OK();
 }
 
-Status CheckEmbeddedParams(const CompiledProgram& p, const Binding& params) {
-  for (const Variable& v : p.params) {
-    if (!params.count(v)) {
-      return Status::InvalidArgument("missing value for parameter '" +
-                                     v.name() + "'");
-    }
-  }
-  // Extra bindings would seed the interpreter's chase frontier but have no
-  // registers here; reject so the caller falls back to interpretation.
-  if (params.size() != p.params.size()) {
-    return Status::InvalidArgument(
-        "compiled program was built for parameters " +
-        VarSetToString(p.params));
-  }
-  return Status::OK();
-}
-
 /// Per-lane scratch of the embedded chase: flat arity-wide candidate
-/// buffers with one validity-mask word per candidate (arity ≤ 64, enforced
-/// by the compiler).
+/// buffers. Which positions a candidate has bound is the same for every
+/// candidate of a step, so it is compiled in (ChaseStepCode::value_bound).
 struct EmbScratch {
   std::vector<Value> cand;
-  std::vector<uint64_t> mask;
   std::vector<Value> ext;
-  std::vector<uint64_t> ext_mask;
   Tuple key;
 };
 
-/// One frontier row through one compiled atom's chase — the register form
-/// of the interpreter's process_assignment, with the identical metered
-/// calls, error strings, and candidate/extension order.
+/// One frontier row through one compiled atom's chase: seed a candidate
+/// from constants and bound registers, extend it through each chase step's
+/// projection lookups, verify it if the plan requires, then unify it into
+/// a copy of the row.
 Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
                   const Value* row, ExecContext* actx, OpCounters* aop,
                   std::vector<Value>* out, size_t w, EmbScratch* s) {
   const CompiledProgram& p = sh.p;
   const std::string& name = p.relations[ac.relation];
   const size_t arity = ac.arity;
-  // Seed partial tuple from constants and bound registers.
   s->cand.assign(arity, Value());
-  uint64_t seed_mask = 0;
   for (size_t pos = 0; pos < arity; ++pos) {
     const Slot& slot = ac.seed[pos];
     if (slot.kind == Slot::Kind::kConst) {
       s->cand[pos] = p.consts[slot.index];
-      seed_mask |= uint64_t{1} << pos;
     } else if (slot.kind == Slot::Kind::kReg) {
       s->cand[pos] = row[slot.reg];
-      seed_mask |= uint64_t{1} << pos;
     }
   }
-  s->mask.assign(1, seed_mask);
+  size_t m = 1;  // candidates (arity may be 0)
   for (const ChaseStepCode& step : ac.steps) {
     s->ext.clear();
-    s->ext_mask.clear();
-    const size_t m = s->mask.size();
+    size_t next_m = 0;
     for (size_t ci = 0; ci < m; ++ci) {
       const Value* cand = s->cand.data() + ci * arity;
-      const uint64_t cmask = s->mask[ci];
       s->key.clear();
-      for (size_t pos : step.key_layout) {
-        SI_CHECK(cmask >> pos & 1);
-        s->key.push_back(cand[pos]);
-      }
+      for (size_t pos : step.key_layout) s->key.push_back(cand[pos]);
       std::vector<Tuple> projections =
           MeteredProjectionLookup(actx, name, *rel, step.key_positions,
                                   step.value_positions, s->key, aop);
@@ -660,29 +711,26 @@ Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
       for (const Tuple& proj : projections) {
         const size_t base = s->ext.size();
         s->ext.insert(s->ext.end(), cand, cand + arity);
-        uint64_t emask = cmask;
         bool ok = true;
         for (size_t i = 0; i < step.value_layout.size() && ok; ++i) {
-          const size_t pos = step.value_layout[i];
-          if (emask >> pos & 1) {
-            ok = s->ext[base + pos] == proj[i];
+          Value& slot = s->ext[base + step.value_layout[i]];
+          if (step.value_bound[i]) {
+            ok = slot == proj[i];
           } else {
-            s->ext[base + pos] = proj[i];
-            emask |= uint64_t{1} << pos;
+            slot = proj[i];
           }
         }
         if (ok) {
-          s->ext_mask.push_back(emask);
+          ++next_m;
         } else {
           s->ext.resize(base);
         }
       }
     }
     s->cand.swap(s->ext);
-    s->mask.swap(s->ext_mask);
+    m = next_m;
   }
   // All positions are now bound; verify if required, then unify.
-  const size_t m = s->mask.size();
   for (size_t ci = 0; ci < m; ++ci) {
     const Value* cand = s->cand.data() + ci * arity;
     if (ac.needs_verification) {
@@ -743,7 +791,7 @@ Result<AnswerSet> CompiledEvaluator::Evaluate(const CompiledProgram& program,
     return Status::InvalidArgument(
         "Evaluate requires a plain compiled program");
   }
-  SI_RETURN_IF_ERROR(CheckPlainParams(program, params));
+  SI_RETURN_IF_ERROR(CheckParams(program, params));
   ExecContext ctx(db_);
   ctx.set_limits(limits_);  // per-evaluation resource envelope
   ctx.set_timing_enabled(collect_timing_);
@@ -798,7 +846,7 @@ Result<Degraded<AnswerSet>> CompiledEvaluator::EvaluateDegraded(
     return Status::InvalidArgument(
         "EvaluateDegraded requires a plain compiled program");
   }
-  SI_RETURN_IF_ERROR(CheckPlainParams(program, params));
+  SI_RETURN_IF_ERROR(CheckParams(program, params));
   ExecContext ctx(db_);
   ctx.set_limits(limits_);
   ctx.set_timing_enabled(collect_timing_);
@@ -833,9 +881,12 @@ Result<Degraded<AnswerSet>> CompiledEvaluator::EvaluateDegraded(
   }
 
   Degraded<AnswerSet> out;
-  // Projection runs before the trip check: the output-row cap trips here,
-  // and the tripping answer is withdrawn (see the interpreter's
-  // EvaluateDegraded for the full rationale).
+  // Rows that survived the full program are sound answers even when the
+  // walk was cut short (abandoned subtrees yield no rows rather than
+  // unchecked ones). Projection runs before the trip check because the
+  // output-row cap trips *here*: the first cap distinct answers are kept and
+  // the tripping answer is withdrawn, so a row-capped degraded result is
+  // identical at any thread count.
   for (size_t i = 0; i < rows.size(); ++i) {
     const Value* row = rows.row(i);
     Tuple t;
@@ -859,26 +910,6 @@ Result<Degraded<AnswerSet>> CompiledEvaluator::EvaluateDegraded(
   return out;
 }
 
-std::vector<Result<AnswerSet>> CompiledEvaluator::EvaluateBatch(
-    const CompiledProgram& program, const std::vector<Binding>& batch,
-    BoundedEvalStats* stats) const {
-  PrebuildCompiledIndexes(*db_, program);
-  std::vector<std::optional<Result<AnswerSet>>> slots(batch.size());
-  std::vector<BoundedEvalStats> worker_stats(batch.size());
-  const bool capture_ops = stats != nullptr && stats->capture_ops;
-  par::WorkerPool::Global().ParallelFor(batch.size(), [&](size_t i) {
-    worker_stats[i].capture_ops = capture_ops;
-    slots[i].emplace(Evaluate(program, batch[i], &worker_stats[i]));
-  });
-  std::vector<Result<AnswerSet>> out;
-  out.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (stats != nullptr) stats->Merge(worker_stats[i]);
-    out.push_back(std::move(*slots[i]));
-  }
-  return out;
-}
-
 Result<AnswerSet> CompiledEvaluator::EvaluateEmbedded(
     const CompiledProgram& program, const Binding& params,
     BoundedEvalStats* stats) const {
@@ -896,7 +927,7 @@ Result<AnswerSet> CompiledEvaluator::EvaluateEmbedded(
   const bool capture_ops =
       collect_timing_ || (stats != nullptr && stats->capture_ops);
   Result<AnswerSet> result =
-      EvaluateEmbeddedImpl(program, params, &ctx, capture_ops);
+      RunEmbedded(program, params, &ctx, capture_ops);
   if (span.enabled()) span.Arg("fetched", ctx.base_tuples_fetched());
   if (stats != nullptr) {
     stats->static_bound = program.static_bound;
@@ -911,30 +942,10 @@ Result<AnswerSet> CompiledEvaluator::EvaluateEmbedded(
   return result;
 }
 
-std::vector<Result<AnswerSet>> CompiledEvaluator::EvaluateEmbeddedBatch(
-    const CompiledProgram& program, const std::vector<Binding>& batch,
-    BoundedEvalStats* stats) const {
-  PrebuildCompiledIndexes(*db_, program);
-  std::vector<std::optional<Result<AnswerSet>>> slots(batch.size());
-  std::vector<BoundedEvalStats> worker_stats(batch.size());
-  const bool capture_ops = stats != nullptr && stats->capture_ops;
-  par::WorkerPool::Global().ParallelFor(batch.size(), [&](size_t i) {
-    worker_stats[i].capture_ops = capture_ops;
-    slots[i].emplace(EvaluateEmbedded(program, batch[i], &worker_stats[i]));
-  });
-  std::vector<Result<AnswerSet>> out;
-  out.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (stats != nullptr) stats->Merge(worker_stats[i]);
-    out.push_back(std::move(*slots[i]));
-  }
-  return out;
-}
-
-Result<AnswerSet> CompiledEvaluator::EvaluateEmbeddedImpl(
+Result<AnswerSet> CompiledEvaluator::RunEmbedded(
     const CompiledProgram& program, const Binding& params, ExecContext* ctx,
     bool capture_ops) const {
-  SI_RETURN_IF_ERROR(CheckEmbeddedParams(program, params));
+  SI_RETURN_IF_ERROR(CheckParams(program, params));
   Shared sh = MakeShared(program, db_, enforce_bounds_);
   if (capture_ops) RegisterProgramOps(program, ctx, &sh);
   OpCounters* root_op = capture_ops ? sh.ops[0] : nullptr;
@@ -994,8 +1005,10 @@ Result<AnswerSet> CompiledEvaluator::EvaluateEmbeddedImpl(
                                       op, &next, w, &scratch));
       }
     } else {
-      // Governed morsel fan-out over the frontier: identical split, replay,
-      // and reconciliation to the interpreter's chase (bounded_eval.cc).
+      // Governed morsel fan-out over the frontier (the sub-budget lease /
+      // charge-log replay protocol, exec/governed_parallel.h): answers,
+      // accounting and trip verdicts are byte-identical to the sequential
+      // walk at any thread count — armed or not.
       const std::vector<std::pair<size_t, size_t>> ranges =
           par::SplitRanges(n_rows, pool.threads() * 4);
       std::vector<std::vector<Value>> worker_out(ranges.size());
@@ -1080,7 +1093,7 @@ Result<Degraded<AnswerSet>> CompiledEvaluator::EvaluateEmbeddedDegraded(
   }
   // Capture ops unconditionally so a trip names the chase step it hit.
   Result<AnswerSet> result =
-      EvaluateEmbeddedImpl(program, params, &ctx, /*capture_ops=*/true);
+      RunEmbedded(program, params, &ctx, /*capture_ops=*/true);
   if (span.enabled()) {
     span.Arg("fetched", ctx.base_tuples_fetched());
     span.Arg("tripped", ctx.trip().tripped());
@@ -1111,23 +1124,18 @@ Result<Degraded<AnswerSet>> CompiledEvaluator::EvaluateEmbeddedDegraded(
   out.trip = ctx.trip();
   out.ops = ctx.SnapshotOps();
   if (fallback_to_approx && limits_.fetch_budget > 0) {
-    // PIQL-style success tolerance, identical to the interpreter: re-answer
-    // the parameter-substituted CQ with the greedy budgeted engine.
-    const Cq& q = program.embed_query;
+    // PIQL-style success tolerance: re-answer the parameter-substituted CQ
+    // with the greedy budgeted engine under the same budget M. Every answer
+    // it reports is a genuine answer of Q(D); project its full-head tuples
+    // onto the open head positions.
     std::map<Variable, Term> subst;
     for (const auto& [v, val] : params) subst.emplace(v, Term::Const(val));
-    ApproxResult approx =
-        ApproximateCqAnswers(q.Substitute(subst), *db_, limits_.fetch_budget);
-    std::vector<size_t> keep;
-    for (size_t i = 0; i < q.head().size(); ++i) {
-      const Term& h = q.head()[i];
-      if (h.is_const() || program.params.count(h.var())) continue;
-      keep.push_back(i);
-    }
+    ApproxResult approx = ApproximateCqAnswers(
+        program.embed_query.Substitute(subst), *db_, limits_.fetch_budget);
     for (const Tuple& full : approx.answers) {
       Tuple t;
-      t.reserve(keep.size());
-      for (size_t i : keep) t.push_back(full[i]);
+      t.reserve(program.embed_head_positions.size());
+      for (size_t i : program.embed_head_positions) t.push_back(full[i]);
       out.value.insert(std::move(t));
     }
     out.fallback = "approx";

@@ -13,59 +13,47 @@
 
 namespace scalein::exec {
 
-/// Register-bytecode executor for compiled bounded plans (exec/compiler.h).
+/// Register-bytecode executor for compiled bounded plans (exec/compiler.h)
+/// — the one bounded executor; core's BoundedEvaluator compiles and calls
+/// it.
 ///
-/// Drop-in twin of core's BoundedEvaluator for programs the compiler
-/// accepted: same entry points, same limits/enforcement/timing knobs, and —
-/// the contract everything else hangs off — the *identical* sequence of
-/// metered charges against an identically-registered op table. Answers,
-/// fetch totals, per-relation/per-op accounting, TripInfo, and sealed access
-/// certificates are byte-equal to the interpreter at any thread count; wide
-/// frontiers fan out through the same governed morsel protocol
-/// (exec/governed_parallel.h) with the same thresholds and splits.
-///
-/// What the compiled path removes is the interpreter's per-tuple data
-/// structures: frontiers are flat register rows instead of
-/// std::map<Variable, Value> bindings, unification is a fused step loop
-/// (computed-goto dispatch where the compiler supports it) instead of map
-/// probes, and set semantics are recovered by sort+unique over fixed-width
-/// rows. Timing capture (`set_collect_timing`) remains supported but
-/// per-node wall times are *approximate* on the compiled path (wrapper ops
-/// share one start clock); timing never feeds certificates or accounting.
+/// Frontiers are flat register rows, unification is a fused step loop
+/// (computed-goto dispatch where the compiler supports it), and set
+/// semantics come from sort+unique over fixed-width rows. Every metered
+/// charge goes through the ExecContext in derivation order, and wide
+/// frontiers fan out through the governed morsel protocol
+/// (exec/governed_parallel.h), so answers, fetch totals, per-relation/per-op
+/// accounting, TripInfo and sealed access certificates are identical at any
+/// thread count. Timing capture (`set_collect_timing`) is supported, but
+/// per-node wall times are *approximate* (wrapper ops share one start
+/// clock); timing never feeds certificates or accounting.
 class CompiledEvaluator {
  public:
   explicit CompiledEvaluator(Database* db) : db_(db) {}
 
-  /// Mirrors BoundedEvaluator::set_enforce_bounds: any access returning more
-  /// rows than its statement's N fails with ResourceExhausted.
+  /// Any access returning more rows than its statement's N fails with
+  /// ResourceExhausted (the database does not conform to A).
   void set_enforce_bounds(bool enforce) { enforce_bounds_ = enforce; }
 
   void set_fetch_budget(uint64_t budget) { limits_.fetch_budget = budget; }
 
   /// Per-evaluation resource envelope, armed on each evaluation's fresh
-  /// ExecContext — exactly like the interpreter.
+  /// ExecContext.
   void set_limits(const GovernorLimits& limits) { limits_ = limits; }
   const GovernorLimits& limits() const { return limits_; }
 
   void set_collect_timing(bool collect) { collect_timing_ = collect; }
 
-  /// Executes a kPlain program. `params` must bind exactly the parameter
-  /// set the program was compiled for.
+  /// Executes a kPlain program. `params` must bind exactly the variables
+  /// the program was compiled for.
   Result<AnswerSet> Evaluate(const CompiledProgram& program,
                              const Binding& params,
                              BoundedEvalStats* stats = nullptr) const;
 
   /// Degradation-aware kPlain execution: a governor trip returns the partial
-  /// answer set with the trip record and op snapshot, like
-  /// BoundedEvaluator::EvaluateDegraded.
+  /// answer set with the trip record and op snapshot instead of an error.
   Result<Degraded<AnswerSet>> EvaluateDegraded(
       const CompiledProgram& program, const Binding& params,
-      BoundedEvalStats* stats = nullptr) const;
-
-  /// Batch kPlain execution on the global worker pool; results in input
-  /// order, stats merged in input order.
-  std::vector<Result<AnswerSet>> EvaluateBatch(
-      const CompiledProgram& program, const std::vector<Binding>& batch,
       BoundedEvalStats* stats = nullptr) const;
 
   /// Executes a kEmbedded program (Proposition 4.5 chase).
@@ -73,18 +61,15 @@ class CompiledEvaluator {
                                      const Binding& params,
                                      BoundedEvalStats* stats = nullptr) const;
 
-  std::vector<Result<AnswerSet>> EvaluateEmbeddedBatch(
-      const CompiledProgram& program, const std::vector<Binding>& batch,
-      BoundedEvalStats* stats = nullptr) const;
-
-  /// Degradation-aware kEmbedded execution, with the same optional
-  /// approx-engine fallback as the interpreter.
+  /// Degradation-aware kEmbedded execution; on a trip with
+  /// `fallback_to_approx` and a fetch budget armed, the greedy budgeted
+  /// engine (core/approx.h) re-answers within the same budget.
   Result<Degraded<AnswerSet>> EvaluateEmbeddedDegraded(
       const CompiledProgram& program, const Binding& params,
       BoundedEvalStats* stats = nullptr, bool fallback_to_approx = false) const;
 
  private:
-  Result<AnswerSet> EvaluateEmbeddedImpl(const CompiledProgram& program,
+  Result<AnswerSet> RunEmbedded(const CompiledProgram& program,
                                          const Binding& params,
                                          ExecContext* ctx,
                                          bool capture_ops) const;
@@ -96,8 +81,7 @@ class CompiledEvaluator {
 };
 
 /// Builds every index `program` can probe (plain leaves or embedded chase
-/// steps + verification), so parallel execution only ever finds them —
-/// the compiled counterpart of the interpreter's Prebuild* helpers.
+/// steps + verification), so parallel execution only ever finds them.
 void PrebuildCompiledIndexes(const Database& db, const CompiledProgram& program);
 
 }  // namespace scalein::exec

@@ -17,6 +17,15 @@
 namespace scalein {
 namespace {
 
+VarSet ParamVars(const Binding& params) {
+  VarSet vars;
+  for (const auto& [v, val] : params) {
+    (void)val;
+    vars.insert(v);
+  }
+  return vars;
+}
+
 /// Parses "x=1,y=\"NYC\"" into a Binding.
 Result<Binding> ParseShellBinding(std::string_view text) {
   Binding out;
@@ -127,10 +136,6 @@ Shell::Shell() {
           .Set(static_cast<int64_t>(*parsed));
     }
   }
-  if (const char* mode = std::getenv("SCALEIN_COMPILE");
-      mode != nullptr && mode[0] != '\0') {
-    compile_mode_ = exec::CompiledPlanSet::ParseMode(mode);
-  }
 }
 
 Shell::~Shell() {
@@ -164,10 +169,6 @@ std::string Shell::HelpText() {
       "  explain qdsi <M> <cq-rule> | explain analyze <fo-query>\n"
       "  qdsi <M> Q(x) :- <CQ body>\n"
       "  limit [fetch=N] [deadline=MS] [rows=N] | limit off\n"
-      "  compile [on|off|auto|status]  bytecode compilation of bounded plans\n"
-      "                 (auto: compile a parameter-set on its 2nd sighting;\n"
-      "                 off restores pure interpretation; also settable via\n"
-      "                 SCALEIN_COMPILE)\n"
       "  threads [N]    show or resize the morsel worker pool and report\n"
       "                 shard-advisor decisions (applied on resize)\n"
       "  stats [prom] | stats watch <secs> [path] | stats watch off\n"
@@ -298,8 +299,6 @@ Result<std::string> Shell::ExecuteImpl(const std::string& command,
 
   if (command == "limit") return RunLimit(rest);
 
-  if (command == "compile") return RunCompile(rest);
-
   if (command == "qdsi") return RunQdsi(rest, /*explain=*/false);
 
   if (command == "journal") return RunJournal();
@@ -318,74 +317,30 @@ Result<std::string> Shell::ExecuteImpl(const std::string& command,
                                  "' (try 'help')");
 }
 
-Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
-  const char* usage = explain ? "usage: explain var=value,... <query>"
-                              : "usage: eval var=value,... <query>";
-  size_t sp = rest.find(' ');
-  if (sp == std::string_view::npos) return Status::InvalidArgument(usage);
-  SI_ASSIGN_OR_RETURN(Binding params, ParseShellBinding(rest.substr(0, sp)));
-  const std::string query_text(StripWhitespace(rest.substr(sp + 1)));
-  SI_ASSIGN_OR_RETURN(FoQuery q, ParseFoQuery(query_text, &schema_));
-  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
-  // One correlation id per evaluation: every span, recorder event, slow-log
-  // entry, certificate, journal line, and post-mortem dump produced below
-  // carries it (workers included), so one query's artifacts join on one id.
-  const obs::QueryId qid{obs::SessionFingerprint(), ++query_seq_};
-  obs::ScopedQueryCorrelation correlate(qid);
-  std::shared_ptr<exec::CompiledPlanSet> compiled_set;
-  SI_ASSIGN_OR_RETURN(
-      std::shared_ptr<const ControllabilityAnalysis> analysis,
-      analysis_cache_->GetOrAnalyze(q.body, query_text, schema_, access_, {},
-                                    &compiled_set));
-  metrics_->GetGauge("shell.analysis_cache.hits")
-      .Set(static_cast<int64_t>(analysis_cache_->stats().hits));
-  metrics_->GetGauge("shell.analysis_cache.misses")
-      .Set(static_cast<int64_t>(analysis_cache_->stats().misses));
-  SI_RETURN_IF_ERROR(access_.BuildIndexes(db_.get(), schema_));
-
-  const std::string fingerprint = obs::Fingerprint(query_text);
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(obs::EventKind::kPlan, fingerprint,
-                           {obs::EventArg("query", query_text)});
-  }
-
-  // Compiled path: consult the cache entry's plan set under the session's
-  // compile mode. nullptr (deferred, unsupported, or off) means interpret;
-  // a genuine compile failure additionally counts as a fallback.
-  VarSet param_vars;
-  for (const auto& [v, val] : params) {
-    (void)val;
-    param_vars.insert(v);
-  }
-  std::shared_ptr<const exec::CompiledProgram> program;
-  std::string compile_why;
-  if (compiled_set != nullptr) {
-    bool compile_failed = false;
-    program = compiled_set->GetOrCompilePlain(compile_mode_, q, analysis,
-                                              param_vars, &compile_why,
-                                              &compile_failed);
-    if (compile_failed) {
-      metrics_->GetCounter("exec.compiled_fallbacks").Increment();
-    }
-  }
-  BoundedEvalStats stats;
-  stats.capture_ops = explain;
+Result<Shell::BoundedRun> Shell::RunBounded(const ServePlan& plan,
+                                            const exec::GovernorLimits& limits,
+                                            const obs::QueryId& qid,
+                                            bool explain,
+                                            const std::string& client_tag) {
+  BoundedRun run;
+  run.stats.capture_ops = explain;
   const uint64_t start_ns = obs::MonotonicNowNs();
+  // Compile on first sight; the program lives in the analysis-cache entry,
+  // shared across sessions and dropped with the derivation on DDL.
+  Result<std::shared_ptr<const exec::CompiledProgram>> program =
+      plan.compiled->Plain(plan.query, plan.analysis, ParamVars(plan.params));
   Result<exec::Degraded<AnswerSet>> evaled = [&] {
-    if (program != nullptr) {
-      metrics_->GetCounter("exec.compiled_hits").Increment();
-      exec::CompiledEvaluator vm(db_.get());
-      vm.set_collect_timing(explain);
-      vm.set_limits(limits_);
-      return vm.EvaluateDegraded(*program, params, &stats);
+    if (!program.ok()) {
+      return Result<exec::Degraded<AnswerSet>>(program.status());
     }
-    BoundedEvaluator evaluator(db_.get());
-    evaluator.set_collect_timing(explain);
-    evaluator.set_limits(limits_);
-    return evaluator.EvaluateDegraded(q, *analysis, params, &stats);
+    run.program = *program;
+    metrics_->GetCounter("exec.compiled_hits").Increment();
+    exec::CompiledEvaluator vm(db_.get());
+    vm.set_collect_timing(explain);
+    vm.set_limits(limits);
+    return vm.EvaluateDegraded(*run.program, plan.params, &run.stats);
   }();
-  const double elapsed_ms =
-      static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
+  run.elapsed_ms = static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
   if (!evaled.ok()) {
     // A non-controllable query is workload signal, not just an error: seal a
     // no-static-bound certificate for it so `workload` and the offline report
@@ -396,27 +351,100 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
             std::string::npos) {
       metrics_->GetCounter("shell.noncontrollable_queries").Increment();
       obs::AccessCertificate cert;
-      cert.query_fingerprint = fingerprint;
+      cert.query_fingerprint = plan.fingerprint;
       cert.query_id = obs::RenderQueryId(qid);
-      cert.query_text = query_text;
-      (void)RecordEvalOutcome(std::move(cert), elapsed_ms,
+      cert.query_text = plan.query_text;
+      (void)RecordEvalOutcome(std::move(cert), run.elapsed_ms,
                               /*noncontrollable=*/true,
-                              /*governor_tripped=*/false);
+                              /*governor_tripped=*/false, client_tag);
     }
     return evaled.status();
   }
-  exec::Degraded<AnswerSet> degraded = std::move(evaled).ValueOrDie();
+  run.degraded = std::move(evaled).ValueOrDie();
   metrics_
       ->GetHistogram("shell.eval_latency_ms", obs::DefaultLatencyBucketsMs())
-      .Observe(elapsed_ms);
-  const AnswerSet& answers = degraded.value;
+      .Observe(run.elapsed_ms);
   metrics_->GetCounter("shell.queries").Increment();
   metrics_->GetCounter("shell.base_tuples_fetched")
-      .Increment(stats.base_tuples_fetched);
-  metrics_->GetCounter("shell.index_lookups").Increment(stats.index_lookups);
-  for (const auto& [relation, fetched] : stats.fetched_by_relation) {
+      .Increment(run.stats.base_tuples_fetched);
+  metrics_->GetCounter("shell.index_lookups")
+      .Increment(run.stats.index_lookups);
+  for (const auto& [relation, fetched] : run.stats.fetched_by_relation) {
     metrics_->GetCounter("shell.fetched." + relation).Increment(fetched);
   }
+  if (!run.degraded.complete) {
+    metrics_
+        ->GetCounter(std::string("shell.governor.trips.") +
+                     exec::LimitKindName(run.degraded.trip.kind))
+        .Increment();
+  }
+  return run;
+}
+
+std::string Shell::RecordBoundedRun(const ServePlan& plan,
+                                    const obs::QueryId& qid,
+                                    const BoundedRun& run,
+                                    const std::string& client_tag) {
+  obs::AccessCertificate cert;
+  cert.query_fingerprint = plan.fingerprint;
+  cert.query_id = obs::RenderQueryId(qid);
+  cert.query_text = plan.query_text;
+  cert.static_bound = run.stats.static_bound;
+  cert.actual_fetches = run.stats.base_tuples_fetched;
+  cert.index_lookups = run.stats.index_lookups;
+  cert.ops.reserve(run.stats.ops.size());
+  for (const exec::OpCounters& op : run.stats.ops) {
+    obs::CertOp co;
+    co.label = op.label;
+    co.rows_out = op.rows_out;
+    co.tuples_fetched = op.tuples_fetched;
+    co.index_lookups = op.index_lookups;
+    co.static_bound = op.static_bound;
+    cert.ops.push_back(std::move(co));
+  }
+  const bool tripped = !run.degraded.complete;
+  cert.tripped = tripped;
+  if (tripped) cert.trip_reason = run.degraded.trip.ToString();
+  return RecordEvalOutcome(std::move(cert), run.elapsed_ms,
+                           /*noncontrollable=*/false,
+                           /*governor_tripped=*/tripped, client_tag);
+}
+
+Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
+  const char* usage = explain ? "usage: explain var=value,... <query>"
+                              : "usage: eval var=value,... <query>";
+  size_t sp = rest.find(' ');
+  if (sp == std::string_view::npos) return Status::InvalidArgument(usage);
+  ServePlan plan;
+  SI_ASSIGN_OR_RETURN(plan.params, ParseShellBinding(rest.substr(0, sp)));
+  plan.query_text = std::string(StripWhitespace(rest.substr(sp + 1)));
+  SI_ASSIGN_OR_RETURN(plan.query, ParseFoQuery(plan.query_text, &schema_));
+  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
+  // One correlation id per evaluation: every span, recorder event, slow-log
+  // entry, certificate, journal line, and post-mortem dump produced below
+  // carries it (workers included), so one query's artifacts join on one id.
+  const obs::QueryId qid{obs::SessionFingerprint(), ++query_seq_};
+  obs::ScopedQueryCorrelation correlate(qid);
+  SI_ASSIGN_OR_RETURN(plan.analysis,
+                      analysis_cache_->GetOrAnalyze(plan.query.body,
+                                                    plan.query_text, schema_,
+                                                    access_, {},
+                                                    &plan.compiled));
+  metrics_->GetGauge("shell.analysis_cache.hits")
+      .Set(static_cast<int64_t>(analysis_cache_->stats().hits));
+  metrics_->GetGauge("shell.analysis_cache.misses")
+      .Set(static_cast<int64_t>(analysis_cache_->stats().misses));
+  SI_RETURN_IF_ERROR(access_.BuildIndexes(db_.get(), schema_));
+
+  plan.fingerprint = obs::Fingerprint(plan.query_text);
+  if (obs::FlightRecorderEnabled()) {
+    obs::RecordFlightEvent(obs::EventKind::kPlan, plan.fingerprint,
+                           {obs::EventArg("query", plan.query_text)});
+  }
+  SI_ASSIGN_OR_RETURN(BoundedRun run,
+                      RunBounded(plan, limits_, qid, explain, ""));
+  const BoundedEvalStats& stats = run.stats;
+  const exec::Degraded<AnswerSet>& degraded = run.degraded;
   for (const auto& [lane, fetched] : stats.fetched_by_lane) {
     metrics_->GetCounter(StrFormat("shell.lane.%d.fetched", lane))
         .Increment(fetched);
@@ -434,50 +462,23 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
     metrics_->GetGauge("shell.advisor.reshards")
         .Set(static_cast<int64_t>(shard_advisor_.reshards()));
   }
-  if (!degraded.complete) {
-    metrics_
-        ->GetCounter(std::string("shell.governor.trips.") +
-                     exec::LimitKindName(degraded.trip.kind))
-        .Increment();
-  }
 
   // Slow-query log: the threshold lives in a gauge so it is visible in
   // `stats` output and settable from both `slowlog` and the environment.
   const int64_t slow_ms =
       metrics_->GetGauge("shell.slow_query_threshold_ms").value();
-  if (slow_ms > 0 && elapsed_ms >= static_cast<double>(slow_ms)) {
+  if (slow_ms > 0 && run.elapsed_ms >= static_cast<double>(slow_ms)) {
     metrics_->GetCounter("shell.slow_queries").Increment();
     if (obs::FlightRecorderEnabled()) {
       obs::RecordFlightEvent(
-          obs::EventKind::kSlowQuery, fingerprint,
-          {obs::EventArg("ms", elapsed_ms),
+          obs::EventKind::kSlowQuery, plan.fingerprint,
+          {obs::EventArg("ms", run.elapsed_ms),
            obs::EventArg("threshold_ms", static_cast<uint64_t>(slow_ms))});
     }
   }
 
   // Seal this query's access certificate and journal it.
-  obs::AccessCertificate cert;
-  cert.query_fingerprint = fingerprint;
-  cert.query_id = obs::RenderQueryId(qid);
-  cert.query_text = query_text;
-  cert.static_bound = stats.static_bound;
-  cert.actual_fetches = stats.base_tuples_fetched;
-  cert.index_lookups = stats.index_lookups;
-  cert.ops.reserve(stats.ops.size());
-  for (const exec::OpCounters& op : stats.ops) {
-    obs::CertOp co;
-    co.label = op.label;
-    co.rows_out = op.rows_out;
-    co.tuples_fetched = op.tuples_fetched;
-    co.index_lookups = op.index_lookups;
-    co.static_bound = op.static_bound;
-    cert.ops.push_back(std::move(co));
-  }
-  cert.tripped = !degraded.complete;
-  if (cert.tripped) cert.trip_reason = degraded.trip.ToString();
-  const std::string warnings =
-      RecordEvalOutcome(std::move(cert), elapsed_ms, /*noncontrollable=*/false,
-                        /*governor_tripped=*/!degraded.complete);
+  const std::string warnings = RecordBoundedRun(plan, qid, run);
 
   if (explain) {
     std::string out =
@@ -492,21 +493,16 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
       }
       out += "\n";
     }
-    if (program != nullptr) {
-      out += "compiled:\n" + program->Disassemble();
-    } else if (compile_mode_ != exec::CompiledPlanSet::Mode::kOff &&
-               !compile_why.empty()) {
-      out += "compiled: interpreted (" + compile_why + ")\n";
-    }
+    out += "compiled:\n" + run.program->Disassemble();
     return out +
-           StrFormat("(%zu answers%s)\n", answers.size(),
+           StrFormat("(%zu answers%s)\n", degraded.value.size(),
                      degraded.complete ? "" : ", partial") +
            warnings;
   }
   std::string out =
-      AnswerSetToString(answers, 50) +
+      AnswerSetToString(degraded.value, 50) +
       StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n",
-                answers.size(),
+                degraded.value.size(),
                 static_cast<unsigned long long>(stats.base_tuples_fetched),
                 degraded.complete ? "" : ", partial");
   if (!degraded.complete) {
@@ -539,14 +535,10 @@ Result<ServePlan> Shell::PlanForServe(std::string_view rest) {
                                                     plan.query_text, schema_,
                                                     access_, {},
                                                     &plan.compiled));
-  VarSet param_vars;
-  for (const auto& [v, val] : plan.params) {
-    (void)val;
-    param_vars.insert(v);
-  }
   // The same option the evaluator will execute, so the bound the admission
   // decision cites is the bound the certificate will carry.
-  const ControlOption* opt = plan.analysis->BestOptionFor(param_vars);
+  const ControlOption* opt =
+      plan.analysis->BestOptionFor(ParamVars(plan.params));
   plan.static_bound = opt == nullptr ? -1.0 : opt->fetch_bound;
   return plan;
 }
@@ -563,94 +555,17 @@ Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
     obs::RecordFlightEvent(obs::EventKind::kPlan, plan.fingerprint,
                            {obs::EventArg("query", plan.query_text)});
   }
-  // Serve-side compiled path: thread-safe plan set, shared across sessions
-  // via the cache entry. Any compile failure falls back to interpretation
-  // (the sanctioned path, counted by exec.compiled_fallbacks).
-  VarSet param_vars;
-  for (const auto& [v, val] : plan.params) {
-    (void)val;
-    param_vars.insert(v);
-  }
-  std::shared_ptr<const exec::CompiledProgram> program;
-  if (plan.compiled != nullptr) {
-    std::string why;
-    bool compile_failed = false;
-    program = plan.compiled->GetOrCompilePlain(compile_mode_, plan.query,
-                                               plan.analysis, param_vars, &why,
-                                               &compile_failed);
-    if (compile_failed) {
-      metrics_->GetCounter("exec.compiled_fallbacks").Increment();
-    }
-  }
-  BoundedEvalStats stats;
-  const uint64_t start_ns = obs::MonotonicNowNs();
-  Result<exec::Degraded<AnswerSet>> evaled = [&] {
-    if (program != nullptr) {
-      metrics_->GetCounter("exec.compiled_hits").Increment();
-      exec::CompiledEvaluator vm(db_.get());
-      vm.set_limits(limits);
-      return vm.EvaluateDegraded(*program, plan.params, &stats);
-    }
-    BoundedEvaluator evaluator(db_.get());
-    evaluator.set_limits(limits);
-    return evaluator.EvaluateDegraded(plan.query, *plan.analysis, plan.params,
-                                      &stats);
-  }();
-  const double elapsed_ms =
-      static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
-  if (!evaled.ok()) {
-    if (evaled.status().code() == StatusCode::kFailedPrecondition &&
-        evaled.status().message().find("not controlled") !=
-            std::string::npos) {
-      metrics_->GetCounter("shell.noncontrollable_queries").Increment();
-      obs::AccessCertificate cert;
-      cert.query_fingerprint = plan.fingerprint;
-      cert.query_id = obs::RenderQueryId(qid);
-      cert.query_text = plan.query_text;
-      (void)RecordEvalOutcome(std::move(cert), elapsed_ms,
-                              /*noncontrollable=*/true,
-                              /*governor_tripped=*/false, client_tag);
-    }
-    return evaled.status();
-  }
-  exec::Degraded<AnswerSet> degraded = std::move(evaled).ValueOrDie();
-  metrics_
-      ->GetHistogram("shell.eval_latency_ms", obs::DefaultLatencyBucketsMs())
-      .Observe(elapsed_ms);
-  metrics_->GetCounter("shell.queries").Increment();
-  metrics_->GetCounter("shell.base_tuples_fetched")
-      .Increment(stats.base_tuples_fetched);
-  metrics_->GetCounter("shell.index_lookups").Increment(stats.index_lookups);
-  for (const auto& [relation, fetched] : stats.fetched_by_relation) {
-    metrics_->GetCounter("shell.fetched." + relation).Increment(fetched);
-  }
-  if (!degraded.complete) {
-    metrics_
-        ->GetCounter(std::string("shell.governor.trips.") +
-                     exec::LimitKindName(degraded.trip.kind))
-        .Increment();
-  }
-
-  obs::AccessCertificate cert;
-  cert.query_fingerprint = plan.fingerprint;
-  cert.query_id = obs::RenderQueryId(qid);
-  cert.query_text = plan.query_text;
-  cert.static_bound = stats.static_bound;
-  cert.actual_fetches = stats.base_tuples_fetched;
-  cert.index_lookups = stats.index_lookups;
-  cert.tripped = !degraded.complete;
-  if (cert.tripped) cert.trip_reason = degraded.trip.ToString();
+  SI_ASSIGN_OR_RETURN(BoundedRun run, RunBounded(plan, limits, qid,
+                                                 /*explain=*/false,
+                                                 client_tag));
   ServeEvalOutcome out;
-  out.warnings = RecordEvalOutcome(std::move(cert), elapsed_ms,
-                                   /*noncontrollable=*/false,
-                                   /*governor_tripped=*/!degraded.complete,
-                                   client_tag);
-  out.answers = degraded.value.size();
-  out.rendered = AnswerSetToString(degraded.value, 50);
-  out.fetched = stats.base_tuples_fetched;
-  out.static_bound = stats.static_bound;
-  out.complete = degraded.complete;
-  out.trip = degraded.trip;
+  out.warnings = RecordBoundedRun(plan, qid, run, client_tag);
+  out.answers = run.degraded.value.size();
+  out.rendered = AnswerSetToString(run.degraded.value, 50);
+  out.fetched = run.stats.base_tuples_fetched;
+  out.static_bound = run.stats.static_bound;
+  out.complete = run.degraded.complete;
+  out.trip = run.degraded.trip;
   return out;
 }
 
@@ -971,27 +886,6 @@ Result<std::string> Shell::RunSlowlog(std::string_view rest) {
   gauge.Set(static_cast<int64_t>(ms));
   return StrFormat("slow-query threshold: %llu ms\n",
                    static_cast<unsigned long long>(ms));
-}
-
-Result<std::string> Shell::RunCompile(std::string_view rest) {
-  const std::string arg(StripWhitespace(rest));
-  auto render = [&] {
-    std::string out = std::string("compile mode: ") +
-                      exec::CompiledPlanSet::ModeName(compile_mode_) + "\n";
-    out += StrFormat(
-        "  hits=%llu fallbacks=%llu\n",
-        static_cast<unsigned long long>(
-            metrics_->GetCounter("exec.compiled_hits").value()),
-        static_cast<unsigned long long>(
-            metrics_->GetCounter("exec.compiled_fallbacks").value()));
-    return out;
-  };
-  if (arg.empty() || arg == "status") return render();
-  if (arg != "on" && arg != "off" && arg != "auto") {
-    return Status::InvalidArgument("usage: compile [on|off|auto|status]");
-  }
-  compile_mode_ = exec::CompiledPlanSet::ParseMode(arg);
-  return render();
 }
 
 Result<std::string> Shell::RunLimit(std::string_view rest) {

@@ -34,9 +34,9 @@ struct ServePlan {
   Binding params;
   FoQuery query;
   std::shared_ptr<const ControllabilityAnalysis> analysis;
-  /// The analysis-cache entry's compiled-plan set; EvalForServe consults it
-  /// (under the session's compile mode) and falls back to interpretation on
-  /// any compile failure. Dropped with the cache entry on DDL.
+  /// The analysis-cache entry's compiled-plan set; EvalForServe takes the
+  /// program for `params` from it (compiled on first sight). Dropped with
+  /// the cache entry on DDL.
   std::shared_ptr<exec::CompiledPlanSet> compiled;
   /// BestOptionFor(params)->fetch_bound; < 0 when the query is not
   /// controlled by the given parameters (nothing to admit against).
@@ -73,7 +73,6 @@ struct ServeEvalOutcome {
 ///   explain qdsi <M> Q(x) :- <CQ body> | explain analyze <fo-query>
 ///   qdsi <M> Q(x) :- <CQ body>
 ///   limit [fetch=N] [deadline=MS] [rows=N] | limit off
-///   compile [on|off|auto|status]   bytecode compilation of bounded plans
 ///   threads [N]    size the morsel worker pool; reports shard-advisor
 ///                  decisions per relation (and applies them on resize)
 ///   stats [prom] | stats watch <secs> [path] | stats watch off
@@ -187,9 +186,6 @@ class Shell {
   Result<std::string> RunAnalyze(std::string_view rest, bool explain);
   /// Parses `limit` arguments into limits_ ("off" clears them).
   Result<std::string> RunLimit(std::string_view rest);
-  /// `compile [on|off|auto|status]`: the session's bytecode-compilation mode
-  /// (also settable via SCALEIN_COMPILE). `status` reports mode + counters.
-  Result<std::string> RunCompile(std::string_view rest);
   Result<std::string> RunStats(std::string_view rest);
   Result<std::string> RunJournal() const;
   /// `certify` re-verifies the live journal; `certify <dump.json>` loads
@@ -201,6 +197,25 @@ class Shell {
   Result<std::string> RunThreads(std::string_view rest);
   /// `workload [top K | fingerprint <fp>]`: per-fingerprint telemetry.
   Result<std::string> RunWorkload(std::string_view rest) const;
+  /// One bounded evaluation's products (RunBounded).
+  struct BoundedRun {
+    exec::Degraded<AnswerSet> degraded;
+    BoundedEvalStats stats;
+    double elapsed_ms = 0;
+    std::shared_ptr<const exec::CompiledProgram> program;
+  };
+  /// The evaluation core of `eval`/`explain` and serve mode: the plan-set
+  /// lookup (compile on first sight), the VM run under `limits`, the
+  /// not-controlled certificate on that failure, and the core shell.* and
+  /// governor-trip counters. `explain` captures ops and per-node timing.
+  Result<BoundedRun> RunBounded(const ServePlan& plan,
+                                const exec::GovernorLimits& limits,
+                                const obs::QueryId& qid, bool explain,
+                                const std::string& client_tag);
+  /// Seals and records the access certificate of a finished RunBounded.
+  std::string RecordBoundedRun(const ServePlan& plan, const obs::QueryId& qid,
+                               const BoundedRun& run,
+                               const std::string& client_tag = "");
   /// Seals, tallies, journals (ring + persistent store), and records one
   /// evaluation's certificate; returns warning lines for surfaced
   /// append/dump failures (satellite: no silently dropped writes).
@@ -211,11 +226,6 @@ class Shell {
   Schema schema_;
   AccessSchema access_;
   exec::GovernorLimits limits_;
-  /// Bytecode compilation of bounded plans (SCALEIN_COMPILE / `compile`):
-  /// kAuto compiles a parameter-set on its second sighting, kOn immediately,
-  /// kOff never — kOff restores the interpreter byte for byte.
-  exec::CompiledPlanSet::Mode compile_mode_ =
-      exec::CompiledPlanSet::Mode::kAuto;
   std::unique_ptr<Database> db_;
   // Behind pointers: these own mutexes/threads, and Shell must stay movable.
   std::unique_ptr<obs::MetricsRegistry> metrics_ =

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "util/failpoint.h"
+
 namespace scalein::par {
 namespace {
 
@@ -95,10 +97,19 @@ void WorkerPool::WorkerLoop(size_t lane) {
       });
       if (stop_) return;
       seen_generation = generation_;
+      // A job that already completed is closed (job_fn_ reset): joining it
+      // late would drain a later job's indices with this job's closure.
+      if (job_fn_ == nullptr) continue;
       n = job_n_;
       fn = job_fn_;
+      ++job_active_;
     }
+    // Schedule-perturbation site between wake-up and drain (chaos tests
+    // delay here to make the submitter finish the job alone).
+    (void)SCALEIN_FAILPOINT("pool_wake");
     DrainJob(n, *fn);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--job_active_ == 0) cv_done_.notify_all();
   }
 }
 
@@ -135,9 +146,13 @@ void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   tls_lane = 0;
   DrainJob(n, fn);
   tls_lane = -1;
+  // Wait for the tasks *and* for every worker that joined this job: a joined
+  // worker still holds `fn` and reads the job's counters, which the next
+  // ParallelFor resets.
   std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock,
-                [&] { return job_done_.load(std::memory_order_acquire) == n; });
+  cv_done_.wait(lock, [&] {
+    return job_done_.load(std::memory_order_acquire) == n && job_active_ == 0;
+  });
   job_fn_ = nullptr;
 }
 

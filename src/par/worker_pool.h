@@ -79,10 +79,14 @@ class WorkerPool {
   bool stop_ = false;
 
   // Current job. Publication (generation bump + fn/n install) happens under
-  // mu_; task claiming and completion counting are lock-free atomics.
+  // mu_; task claiming and completion counting are lock-free atomics. A
+  // worker joins a job under mu_ (job_active_ + 1) and leaves it under mu_;
+  // the submitter returns only when the job's workers have all left, then
+  // closes the job (job_fn_ = nullptr) so late wakers skip it.
   uint64_t generation_ = 0;
   size_t job_n_ = 0;
   const std::function<void(size_t)>* job_fn_ = nullptr;
+  size_t job_active_ = 0;
   std::atomic<size_t> job_next_{0};
   std::atomic<size_t> job_done_{0};
 

@@ -68,7 +68,8 @@ struct FailpointConfig {
 ///
 /// Engine sites (grep SCALEIN_FAILPOINT for the authoritative list):
 /// storage probes `index_probe`, `scan_next`, `delta_apply`; the §4 chase
-/// `chase_step`; and the §3 decision-procedure search loops `qsi_candidate`
+/// `chase_step`; the worker pool's `pool_wake` (a worker between waking for
+/// a job and draining it; only `delay` is meaningful there); and the §3 decision-procedure search loops `qsi_candidate`
 /// (one hit per candidate counterexample database), `qdsi_subset` (one hit
 /// per candidate subset) and `qdsi_support` (one hit per answer whose
 /// supports are gathered). A fault at a §3 site degrades the verdict to

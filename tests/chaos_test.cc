@@ -421,13 +421,19 @@ TEST(ChaosTest, GovernedParallelFanOutSurvivesFailpointsAndUpdates) {
   // worker paths, while a free-running writer thread grows the frontier
   // under the exclusive side of the readers/writers lock. The TSan CI lane
   // runs this schedule; the soundness contract is the usual chaos one —
-  // exact golden answer, a sound partial subset, or a typed error.
+  // exact golden answer, a sound partial subset, or a typed error. The
+  // iterations cycle through a conjunction and the fanout workload's `or`
+  // and `forall` shapes, whose nested blocks fan out too.
   Schema schema;
   schema.Relation("friend", {"a", "b"});
   schema.Relation("person", {"id", "name", "city"});
   Database db(schema);
   for (int64_t k = 0; k < 64; ++k) {
     db.Insert("friend", Tuple{Value::Int(0), Value::Int(k)});
+    if (k > 0) {
+      db.Insert("friend", Tuple{Value::Int(k), Value::Int((k * 5 + 1) % 64)});
+      db.Insert("friend", Tuple{Value::Int(k), Value::Int((k * 7 + 3) % 64)});
+    }
     db.Insert("person",
               Tuple{Value::Int(k), Value::Str("n" + std::to_string(k)),
                     Value::Str(k % 2 == 0 ? "NYC" : "LA")});
@@ -436,20 +442,29 @@ TEST(ChaosTest, GovernedParallelFanOutSurvivesFailpointsAndUpdates) {
   access.Add("friend", {"a"}, 4096);
   access.AddKey("person", {"id"});
   ASSERT_TRUE(access.BuildIndexes(&db, schema).ok());
-  Result<FoQuery> q = ParseFoQuery(
-      "Q(p, b, name) := friend(p, b) and person(b, name, \"NYC\")", &schema);
-  ASSERT_TRUE(q.ok());
-  Result<ControllabilityAnalysis> analysis =
-      ControllabilityAnalysis::Analyze(q->body, schema, access);
-  ASSERT_TRUE(analysis.ok());
+  std::vector<FoQuery> queries;
+  std::vector<ControllabilityAnalysis> analyses;
+  for (const char* text :
+       {"Q(p, b, name) := friend(p, b) and person(b, name, \"NYC\")",
+        "O(p, x) := friend(p, x) or (exists a. friend(p, a) and friend(a, x))",
+        "A(p, a) := friend(p, a) and forall b. (friend(a, b) implies exists "
+        "n. person(b, n, \"NYC\"))"}) {
+    Result<FoQuery> q = ParseFoQuery(text, &schema);
+    ASSERT_TRUE(q.ok()) << text;
+    Result<ControllabilityAnalysis> analysis =
+        ControllabilityAnalysis::Analyze(q->body, schema, access);
+    ASSERT_TRUE(analysis.ok()) << text;
+    queries.push_back(*std::move(q));
+    analyses.push_back(*std::move(analysis));
+  }
   Binding params{{V("p"), Value::Int(0)}};
 
   par::WorkerPool::Global().Resize(4);
   std::shared_mutex db_mu;
   std::atomic<bool> stop{false};
-  // The writer only adds LA persons, so the golden answer set (the NYC
-  // filter) is invariant while the fetch frontier — and therefore every
-  // trip position — keeps moving.
+  // The writer keeps adding LA friends of person 0, so the fetch frontier —
+  // and therefore every trip position — keeps moving; each iteration takes
+  // its golden answer and its governed run under one read lock.
   std::thread writer([&] {
     int64_t next = 100000;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -464,24 +479,22 @@ TEST(ChaosTest, GovernedParallelFanOutSurvivesFailpointsAndUpdates) {
     }
   });
 
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 60; ++i) {
     const std::string spec = RandomSchedule(7000 + i);
-    AnswerSet golden;
-    {
-      std::shared_lock<std::shared_mutex> lock(db_mu);
-      BoundedEvaluator plain(&db);
-      Result<AnswerSet> g = plain.Evaluate(*q, *analysis, params);
-      ASSERT_TRUE(g.ok()) << g.status().ToString();
-      golden = *std::move(g);
-    }
+    const FoQuery& q = queries[i % queries.size()];
+    const ControllabilityAnalysis& analysis = analyses[i % analyses.size()];
+    std::shared_lock<std::shared_mutex> lock(db_mu);
+    BoundedEvaluator plain(&db);
+    Result<AnswerSet> g = plain.Evaluate(q, analysis, params);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    const AnswerSet golden = *std::move(g);
     ScheduleScope scope(spec);
     BoundedEvaluator evaluator(&db);
     exec::GovernorLimits limits;
     limits.fetch_budget = 1 + static_cast<uint64_t>((i * 13) % 200);
     evaluator.set_limits(limits);
-    std::shared_lock<std::shared_mutex> lock(db_mu);
     Result<exec::Degraded<AnswerSet>> degraded =
-        evaluator.EvaluateDegraded(*q, *analysis, params);
+        evaluator.EvaluateDegraded(q, analysis, params);
     if (degraded.ok()) {
       EXPECT_TRUE(std::includes(golden.begin(), golden.end(),
                                 degraded->value.begin(),

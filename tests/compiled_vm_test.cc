@@ -3,7 +3,15 @@
 // status, answers, completeness, fetch and lookup totals, per-relation
 // fetches, the trip record, the per-op forest and the sealed certificate
 // payload — and every case must reproduce its record byte for byte at
-// threads 1 and 4.
+// threads 1 and 4. Plain cases run twice: through BoundedEvaluator (compile
+// per call) and through a CompiledPlanSet's cached program on the VM (the
+// shell/serve path); both must match the record.
+//
+// The records were taken from the map-binding interpreter that preceded the
+// register VM, so they pin the VM to that engine's answers, charge order,
+// trip points and certificates, `or`/`forall`/nested shapes included.
+// Answers are also judged against the reference semantics elsewhere
+// (controllability_fuzz_test: FoEvaluator answers, fetched <= static bound).
 //
 // On any mismatch or missing record the suite writes everything it produced,
 // in production order, to `bounded_certificates.txt.actual` in the working
@@ -16,7 +24,11 @@
 #include <map>
 #include <sstream>
 
+#include "core/analysis_cache.h"
 #include "core/bounded_eval.h"
+#include "exec/compiler.h"
+#include "exec/vm.h"
+#include "io/shell.h"
 #include "obs/journal.h"
 #include "par/worker_pool.h"
 #include "query/parser.h"
@@ -208,6 +220,15 @@ std::string AnswerRecord(const Result<AnswerSet>& r,
          StatsLines(stats, false, exec::TripInfo());
 }
 
+VarSet VarsOf(const Binding& params) {
+  VarSet vars;
+  for (const auto& [v, val] : params) {
+    (void)val;
+    vars.insert(v);
+  }
+  return vars;
+}
+
 /// One plain evaluation through the degradation-aware entry point, with the
 /// op forest captured.
 std::string PlainRecord(const FoQuery& q,
@@ -221,6 +242,23 @@ std::string PlainRecord(const FoQuery& q,
   stats.capture_ops = true;
   return DegradedRecord(eval.EvaluateDegraded(q, analysis, params, &stats),
                         stats);
+}
+
+/// The same evaluation on a plan set's cached program.
+std::string CachedProgramRecord(
+    exec::CompiledPlanSet* plans, const FoQuery& q,
+    const std::shared_ptr<const ControllabilityAnalysis>& analysis,
+    Database* db, const Binding& params, const exec::GovernorLimits& limits,
+    bool enforce) {
+  Result<std::shared_ptr<const exec::CompiledProgram>> program =
+      plans->Plain(q, analysis, VarsOf(params));
+  if (!program.ok()) return StatusLine(program.status());
+  exec::CompiledEvaluator vm(db);
+  vm.set_limits(limits);
+  vm.set_enforce_bounds(enforce);
+  BoundedEvalStats stats;
+  stats.capture_ops = true;
+  return DegradedRecord(vm.EvaluateDegraded(**program, params, &stats), stats);
 }
 
 std::string ParamsText(const Binding& params) {
@@ -238,15 +276,22 @@ std::string LimitsText(const exec::GovernorLimits& limits) {
   return out;
 }
 
-void ExpectPlainGolden(const std::string& label, const FoQuery& q,
-                       const ControllabilityAnalysis& analysis, Database* db,
-                       const Binding& params,
-                       const exec::GovernorLimits& limits = {},
-                       bool enforce = false) {
-  ExpectGoldenAtThreads(
-      label + " " + ParamsText(params) + LimitsText(limits) +
-          (enforce ? " enforce" : ""),
-      [&] { return PlainRecord(q, analysis, db, params, limits, enforce); });
+void ExpectPlainGolden(
+    const std::string& label, const FoQuery& q,
+    const std::shared_ptr<const ControllabilityAnalysis>& analysis,
+    Database* db, const Binding& params,
+    const exec::GovernorLimits& limits = {}, bool enforce = false) {
+  const std::string name = label + " " + ParamsText(params) +
+                           LimitsText(limits) + (enforce ? " enforce" : "");
+  exec::CompiledPlanSet plans;
+  ExpectGoldenAtThreads(name, [&] {
+    const std::string record =
+        PlainRecord(q, *analysis, db, params, limits, enforce);
+    EXPECT_EQ(record, CachedProgramRecord(&plans, q, analysis, db, params,
+                                          limits, enforce))
+        << name << ": cached program differs";
+    return record;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -278,7 +323,7 @@ TEST(GoldenTest, Q1AcrossParams) {
   FoQuery q1 = FQ(kQ1, social.schema);
   auto analysis = Analyze(q1, social.schema, social.access);
   for (int64_t p = 0; p < 12; ++p) {
-    ExpectPlainGolden("q1", q1, *analysis, &social.db, {{V("p"), Value::Int(p)}});
+    ExpectPlainGolden("q1", q1, analysis, &social.db, {{V("p"), Value::Int(p)}});
   }
 }
 
@@ -289,7 +334,7 @@ TEST(GoldenTest, Q1FetchBudgetTrips) {
   for (uint64_t budget = 1; budget <= 12; ++budget) {
     exec::GovernorLimits limits;
     limits.fetch_budget = budget;
-    ExpectPlainGolden("q1", q1, *analysis, &social.db,
+    ExpectPlainGolden("q1", q1, analysis, &social.db,
                       {{V("p"), Value::Int(5)}}, limits);
   }
 }
@@ -301,7 +346,7 @@ TEST(GoldenTest, Q1OutputRowCapTrips) {
   for (uint64_t cap : {uint64_t{1}, uint64_t{2}, uint64_t{100}}) {
     exec::GovernorLimits limits;
     limits.output_row_cap = cap;
-    ExpectPlainGolden("q1", q1, *analysis, &social.db,
+    ExpectPlainGolden("q1", q1, analysis, &social.db,
                       {{V("p"), Value::Int(3)}}, limits);
   }
 }
@@ -317,7 +362,7 @@ TEST(GoldenTest, EnforceBoundsErrors) {
   access.Add("e", {"a"}, 2);  // declared N = 2, actual 5
   FoQuery q = FQ("Q(x, y) := e(x, y)", s);
   auto analysis = Analyze(q, s, access);
-  ExpectPlainGolden("enforce", q, *analysis, &db, {{V("x"), Value::Int(1)}},
+  ExpectPlainGolden("enforce", q, analysis, &db, {{V("x"), Value::Int(1)}},
                     {}, /*enforce=*/true);
 }
 
@@ -366,7 +411,7 @@ TEST(GoldenTest, PropertyShapes) {
       if (!analysis->IsControlledBy({V("x")})) continue;
       for (int64_t p = 0; p < 6; ++p) {
         ExpectPlainGolden("shapes seed=" + std::to_string(seed) + " " + text,
-                          q, *analysis, &db, {{V("x"), Value::Int(p)}});
+                          q, analysis, &db, {{V("x"), Value::Int(p)}});
       }
     }
   }
@@ -390,11 +435,11 @@ TEST(GoldenTest, WideFrontierFanOut) {
   FoQuery q = FQ("Q(x, z) := exists y. r(x, y) and t(y, z)", s);
   auto analysis = Analyze(q, s, access);
   const Binding params{{V("x"), Value::Int(1)}};
-  ExpectPlainGolden("wide", q, *analysis, &db, params);
+  ExpectPlainGolden("wide", q, analysis, &db, params);
   for (uint64_t budget : {uint64_t{5}, uint64_t{20}, uint64_t{45}}) {
     exec::GovernorLimits limits;
     limits.fetch_budget = budget;
-    ExpectPlainGolden("wide", q, *analysis, &db, params, limits);
+    ExpectPlainGolden("wide", q, analysis, &db, params, limits);
   }
 }
 
@@ -447,7 +492,7 @@ TEST(GoldenTest, FanoutOrAndForallShapes) {
     for (int64_t p : {wide, narrow}) {
       const Binding params{{V("p"), Value::Int(p)}};
       const std::string label = std::string("fanout ") + text;
-      ExpectPlainGolden(label, q, *analysis, &social.db, params);
+      ExpectPlainGolden(label, q, analysis, &social.db, params);
       BoundedEvaluator probe(&social.db);
       BoundedEvalStats stats;
       ASSERT_TRUE(probe.Evaluate(q, *analysis, params, &stats).ok());
@@ -455,12 +500,12 @@ TEST(GoldenTest, FanoutOrAndForallShapes) {
            ++budget) {
         exec::GovernorLimits limits;
         limits.fetch_budget = budget;
-        ExpectPlainGolden(label, q, *analysis, &social.db, params, limits);
+        ExpectPlainGolden(label, q, analysis, &social.db, params, limits);
       }
       for (uint64_t cap : {uint64_t{1}, uint64_t{2}, uint64_t{100}}) {
         exec::GovernorLimits limits;
         limits.output_row_cap = cap;
-        ExpectPlainGolden(label, q, *analysis, &social.db, params, limits);
+        ExpectPlainGolden(label, q, analysis, &social.db, params, limits);
       }
     }
   }
@@ -584,7 +629,7 @@ TEST(GoldenTest, UniversalRule) {
                           uint64_t{4}}) {
     exec::GovernorLimits limits;
     limits.fetch_budget = budget;
-    ExpectPlainGolden("forall-unit", q, *analysis, &db,
+    ExpectPlainGolden("forall-unit", q, analysis, &db,
                       {{V("x"), Value::Int(1)}}, limits);
   }
 }
@@ -605,9 +650,133 @@ TEST(GoldenTest, Disjunction) {
   for (uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{2}}) {
     exec::GovernorLimits limits;
     limits.fetch_budget = budget;
-    ExpectPlainGolden("or-unit", q, *analysis, &db, {{V("x"), Value::Int(1)}},
+    ExpectPlainGolden("or-unit", q, analysis, &db, {{V("x"), Value::Int(1)}},
                       limits);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Plan-set lifecycle: compile on first sight, errors surface, DDL drops
+// programs with their derivation.
+
+TEST(CompiledPlanSetTest, CompilesOnFirstSightAndSurfacesErrors) {
+  Social social(40);
+  FoQuery q1 = FQ(kQ1, social.schema);
+  auto analysis = Analyze(q1, social.schema, social.access);
+  exec::CompiledPlanSet set;
+  Result<std::shared_ptr<const exec::CompiledProgram>> first =
+      set.Plain(q1, analysis, {V("p")});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(set.compiles(), 1u);
+  Result<std::shared_ptr<const exec::CompiledProgram>> again =
+      set.Plain(q1, analysis, {V("p")});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), first->get());
+  EXPECT_EQ(set.compiles(), 1u);
+
+  // A parameter set the analysis does not control: the error reaches the
+  // caller on every request and nothing is kept.
+  for (int i = 0; i < 2; ++i) {
+    Result<std::shared_ptr<const exec::CompiledProgram>> bad =
+        set.Plain(q1, analysis, {V("name")});
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(bad.status().message().find("not controlled"),
+              std::string::npos);
+  }
+  std::string why;
+  EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto, q1,
+                                  analysis, {V("name")}, &why),
+            nullptr);
+  EXPECT_NE(why.find("not controlled"), std::string::npos) << why;
+  EXPECT_EQ(set.compiles(), 1u);
+}
+
+TEST(CompiledPlanSetTest, AnalysisCacheDropsCompiledPlansOnInvalidation) {
+  Social social(40);
+  FoQuery q1 = FQ(kQ1, social.schema);
+  AnalysisCache cache;
+  std::shared_ptr<exec::CompiledPlanSet> set1;
+  Result<std::shared_ptr<const ControllabilityAnalysis>> a1 =
+      cache.GetOrAnalyze(q1.body, "q1", social.schema, social.access, {},
+                         &set1);
+  ASSERT_TRUE(a1.ok());
+  ASSERT_NE(set1, nullptr);
+  Result<std::shared_ptr<const exec::CompiledProgram>> p1 =
+      set1->Plain(q1, *a1, {V("p")});
+  ASSERT_TRUE(p1.ok());
+
+  // A cache hit hands back the same plan set (no recompilation).
+  std::shared_ptr<exec::CompiledPlanSet> set_hit;
+  ASSERT_TRUE(cache.GetOrAnalyze(q1.body, "q1", social.schema, social.access,
+                                 {}, &set_hit)
+                  .ok());
+  EXPECT_EQ(set_hit.get(), set1.get());
+
+  // DDL: the entry is dropped, and with it the attached bytecode. The next
+  // analyze returns a fresh, empty plan set — the VM can never execute a
+  // program lowered from the dropped derivation.
+  cache.Invalidate();
+  std::shared_ptr<exec::CompiledPlanSet> set2;
+  Result<std::shared_ptr<const ControllabilityAnalysis>> a2 =
+      cache.GetOrAnalyze(q1.body, "q1", social.schema, social.access, {},
+                         &set2);
+  ASSERT_TRUE(a2.ok());
+  ASSERT_NE(set2, nullptr);
+  EXPECT_NE(set2.get(), set1.get());
+  EXPECT_EQ(set2->compiles(), 0u);
+  Result<std::shared_ptr<const exec::CompiledProgram>> p2 =
+      set2->Plain(q1, *a2, {V("p")});
+  ASSERT_TRUE(p2.ok());
+  EXPECT_NE(p2->get(), p1->get());  // recompiled against the fresh derivation
+}
+
+std::string Exec(Shell* shell, const std::string& line) {
+  Result<std::string> out = shell->Execute(line);
+  SI_CHECK_MSG(out.ok(), (line + ": " + out.status().message()).c_str());
+  return *std::move(out);
+}
+
+TEST(CompiledPlanSetTest, ShellRecompilesAfterMidSessionDdl) {
+  // `access` DDL between two evals must invalidate the bytecode with the
+  // derivation: the second eval recompiles against the new bounds.
+  Shell shell;
+  Exec(&shell, "schema relation e(a, b)");
+  Exec(&shell, "access access e(a) N=10");
+  Exec(&shell, "row e 1,10");
+  Exec(&shell, "row e 1,11");
+  const std::string first = Exec(&shell, "eval x=1 Q(x, y) := e(x, y)");
+  EXPECT_NE(first.find("(2 answers"), std::string::npos) << first;
+  Exec(&shell, "access access e(a) N=5");
+  const std::string second = Exec(&shell, "eval x=1 Q(x, y) := e(x, y)");
+  EXPECT_NE(second.find("(2 answers"), std::string::npos) << second;
+  EXPECT_EQ(shell.mutable_metrics()->GetCounter("exec.compiled_hits").value(),
+            2u);
+  // The disassembly carries the *new* static bound: recompiled, not stale.
+  const std::string explained = Exec(&shell, "explain x=1 Q(x, y) := e(x, y)");
+  EXPECT_NE(explained.find("compiled:"), std::string::npos) << explained;
+  EXPECT_NE(explained.find("static_bound=5"), std::string::npos) << explained;
+}
+
+TEST(CompiledPlanSetTest, ShellRunsOrAndForallShapesOnTheVm) {
+  Shell shell;
+  Exec(&shell, "schema relation r(a, b)");
+  Exec(&shell, "schema relation t(a, b)");
+  Exec(&shell, "access access r(a) N=5");
+  Exec(&shell, "access access t(a) N=5");
+  Exec(&shell, "row r 1,10");
+  Exec(&shell, "row t 1,20");
+  Exec(&shell, "row t 10,1");
+  const std::string out = Exec(&shell, "eval x=1 Q(x, y) := r(x, y) or t(x, y)");
+  EXPECT_NE(out.find("(2 answers"), std::string::npos) << out;
+  const std::string all = Exec(
+      &shell, "eval x=1 Q(x) := forall y. r(x, y) implies t(y, x)");
+  EXPECT_NE(all.find("(1 answers"), std::string::npos) << all;
+  EXPECT_EQ(shell.mutable_metrics()->GetCounter("exec.compiled_hits").value(),
+            2u);
+  const std::string explained =
+      Exec(&shell, "explain x=1 Q(x, y) := r(x, y) or t(x, y)");
+  EXPECT_NE(explained.find("BLOCK"), std::string::npos) << explained;
 }
 
 }  // namespace

@@ -134,6 +134,51 @@ void ExpectSameOutcome(const RunResult& ref, const RunResult& got) {
   EXPECT_EQ(got.cert.verdict, ref.cert.verdict);
 }
 
+/// Runs one scenario at 1 thread, asserts the runs at 2, 4 and 8 threads
+/// are identical to it, and returns the 1-thread run.
+RunResult ExpectIdenticalAcrossThreads(Database* db, const FoQuery& q,
+                                       const ControllabilityAnalysis& analysis,
+                                       const Binding& params,
+                                       const exec::GovernorLimits& limits) {
+  RunResult ref;
+  {
+    ScopedThreads scoped(1);
+    ref = RunGoverned(db, q, analysis, params, limits);
+  }
+  for (size_t threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedThreads scoped(threads);
+    ExpectSameOutcome(ref, RunGoverned(db, q, analysis, params, limits));
+  }
+  return ref;
+}
+
+/// The deterministic trip classes: fetch budget, pre-expired deadline,
+/// pre-cancelled token, output row cap (plus a clean armed run).
+std::vector<std::pair<std::string, exec::GovernorLimits>> TripScenarios(
+    uint64_t budget, uint64_t row_cap) {
+  static const exec::CancellationToken cancelled = [] {
+    exec::CancellationToken token;
+    token.Cancel();
+    return token;
+  }();
+  std::vector<std::pair<std::string, exec::GovernorLimits>> scenarios(5);
+  scenarios[0].first = "clean-governed";
+  scenarios[0].second.fetch_budget = 1ULL << 30;
+  scenarios[1].first = "fetch-budget-mid-fanout";
+  scenarios[1].second.fetch_budget = budget;
+  // Absolute deadline in the past: detected at the first amortized time
+  // check (probe kCheckInterval), the deterministic deadline case.
+  scenarios[2].first = "pre-expired-deadline";
+  scenarios[2].second.deadline_ns = 1;
+  scenarios[3].first = "pre-cancelled";
+  scenarios[3].second.has_cancel = true;
+  scenarios[3].second.cancel = cancelled;
+  scenarios[4].first = "output-row-cap";
+  scenarios[4].second.output_row_cap = row_cap;
+  return scenarios;
+}
+
 TEST(GovernedParallelTest, TripsAndCertificatesIdenticalAcrossThreadCounts) {
   Schema schema = FanSchema();
   Database db = FanDb(schema);
@@ -145,73 +190,82 @@ TEST(GovernedParallelTest, TripsAndCertificatesIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
   Binding params{{V("p"), Value::Int(0)}};
 
-  exec::CancellationToken cancelled;
-  cancelled.Cancel();
-
-  std::vector<std::pair<const char*, exec::GovernorLimits>> scenarios;
-  {
-    exec::GovernorLimits clean;
-    clean.fetch_budget = 1ULL << 30;
-    scenarios.emplace_back("clean-governed", clean);
-  }
-  {
-    // Trips at the 51st person probe (400 friend tuples + 51 > 450), deep
-    // inside the fan-out region; at 2 lanes the shared ledger (50 remaining
-    // + 2 chunks of slack) also starves lanes, exercising re-execution.
-    exec::GovernorLimits budget;
-    budget.fetch_budget = 450;
-    scenarios.emplace_back("fetch-budget-mid-fanout", budget);
-  }
-  {
-    // Absolute deadline in the past: detected at the first amortized time
-    // check (probe kCheckInterval), the deterministic deadline case.
-    exec::GovernorLimits deadline;
-    deadline.deadline_ns = 1;
-    scenarios.emplace_back("pre-expired-deadline", deadline);
-  }
-  {
-    exec::GovernorLimits cancel;
-    cancel.has_cancel = true;
-    cancel.cancel = cancelled;
-    scenarios.emplace_back("pre-cancelled", cancel);
-  }
-  {
-    exec::GovernorLimits rows;
-    rows.output_row_cap = 5;
-    scenarios.emplace_back("output-row-cap", rows);
-  }
-
-  for (const auto& [name, limits] : scenarios) {
+  // The budget trips at the 51st person probe (400 friend tuples + 51 >
+  // 450), deep inside the fan-out region; at 2 lanes the shared ledger (50
+  // remaining + 2 chunks of slack) also starves lanes, exercising
+  // re-execution.
+  for (const auto& [name, limits] : TripScenarios(450, 5)) {
     SCOPED_TRACE(name);
-    RunResult ref;
-    {
-      ScopedThreads scoped(1);
-      ref = RunGoverned(&db, q, *analysis, params, limits);
-    }
-    if (std::string(name) == "clean-governed") {
+    const RunResult ref =
+        ExpectIdenticalAcrossThreads(&db, q, *analysis, params, limits);
+    if (name == "clean-governed") {
       EXPECT_TRUE(ref.degraded.complete);
       EXPECT_EQ(ref.degraded.value.size(), 200u);  // the NYC half
     } else {
       EXPECT_FALSE(ref.degraded.complete);
     }
-    if (std::string(name) == "fetch-budget-mid-fanout") {
+    if (name == "fetch-budget-mid-fanout") {
       EXPECT_EQ(ref.degraded.trip.kind, exec::LimitKind::kFetchBudget);
     }
-    if (std::string(name) == "pre-expired-deadline") {
+    if (name == "pre-expired-deadline") {
       EXPECT_EQ(ref.degraded.trip.kind, exec::LimitKind::kDeadline);
     }
-    if (std::string(name) == "pre-cancelled") {
+    if (name == "pre-cancelled") {
       EXPECT_EQ(ref.degraded.trip.kind, exec::LimitKind::kCancelled);
     }
-    if (std::string(name) == "output-row-cap") {
+    if (name == "output-row-cap") {
       EXPECT_EQ(ref.degraded.trip.kind, exec::LimitKind::kOutputRows);
       EXPECT_EQ(ref.degraded.value.size(), 5u);
     }
-    for (size_t threads : {2u, 4u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      ScopedThreads scoped(threads);
-      RunResult got = RunGoverned(&db, q, *analysis, params, limits);
-      ExpectSameOutcome(ref, got);
+  }
+}
+
+/// Two-hop fixture for the `or` and `forall` blocks: person 0 has 40
+/// friends, each with 20 friends of its own, and ten of those live outside
+/// NYC — so the `or` operand's nested conjunction and the `forall` stage
+/// both fan out, and the universal check fails for some friends and holds
+/// for others.
+TEST(GovernedParallelTest, OrAndForallBlocksIdenticalAcrossThreadCounts) {
+  Schema schema = FanSchema();
+  Database db(schema);
+  for (int64_t a = 1; a <= 40; ++a) {
+    db.Insert("friend", Tuple{Value::Int(0), Value::Int(a)});
+    for (int64_t j = 0; j < 20; ++j) {
+      // Friends of a: a window of 20 of the ids 100..159.
+      const int64_t b = 100 + (a * 3 + j) % 60;
+      db.Insert("friend", Tuple{Value::Int(a), Value::Int(b)});
+    }
+  }
+  for (int64_t id = 0; id < 160; ++id) {
+    const bool nyc = id < 100 || id >= 110;
+    db.Insert("person", Tuple{Value::Int(id), Value::Str("n" + std::to_string(id)),
+                              Value::Str(nyc ? "NYC" : "LA")});
+  }
+  AccessSchema access;
+  access.Add("friend", {"a"}, 64);
+  access.AddKey("person", {"id"});
+  ASSERT_TRUE(access.BuildIndexes(&db, schema).ok());
+  const Binding params{{V("p"), Value::Int(0)}};
+  const char* shapes[] = {
+      "O(p, x) := friend(p, x) or (exists a. friend(p, a) and friend(a, x))",
+      "A(p, a) := friend(p, a) and forall b. (friend(a, b) implies exists n. "
+      "person(b, n, \"NYC\"))",
+  };
+  for (const char* text : shapes) {
+    SCOPED_TRACE(text);
+    FoQuery q = FQ(text, schema);
+    Result<ControllabilityAnalysis> analysis =
+        ControllabilityAnalysis::Analyze(q.body, schema, access);
+    ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+    for (const auto& [name, limits] : TripScenarios(300, 3)) {
+      SCOPED_TRACE(name);
+      const RunResult ref =
+          ExpectIdenticalAcrossThreads(&db, q, *analysis, params, limits);
+      EXPECT_EQ(ref.degraded.complete, name == "clean-governed");
+      if (name == "clean-governed") {
+        EXPECT_GT(ref.degraded.value.size(), 3u);
+        EXPECT_GT(ref.stats.base_tuples_fetched, 300u);
+      }
     }
   }
 }

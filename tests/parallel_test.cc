@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/bounded_eval.h"
@@ -15,6 +18,7 @@
 #include "core/embedded_controllability.h"
 #include "par/worker_pool.h"
 #include "query/parser.h"
+#include "util/failpoint.h"
 #include "workload/social_gen.h"
 
 namespace scalein {
@@ -63,6 +67,34 @@ TEST(WorkerPoolTest, ExecutesEveryTaskExactlyOnce) {
   for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i], 1) << i;
   EXPECT_EQ(pool.tasks_executed(), kTasks);
   EXPECT_EQ(pool.parallel_for_calls(), 1u);
+}
+
+TEST(WorkerPoolTest, BackToBackJobsNeverRunAStaleClosure) {
+  // Workers wake for the first job and then sleep 20 ms before draining it
+  // (pool_wake). The submitter runs the whole first job alone in about
+  // 8 ms and starts the second, whose tasks take 5 ms each. A worker that
+  // then drained with the first job's closure would run it on the second
+  // job's indices: first[i] twice, second[i] never.
+  ASSERT_TRUE(util::Failpoints::Global().Configure("pool_wake=delay(20ms)").ok());
+  struct Clear {
+    ~Clear() { util::Failpoints::Global().Clear(); }
+  } clear;
+  par::WorkerPool pool(4);
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::atomic<int>> first(8), second(8);
+    const std::function<void(size_t)> run_first = [&](size_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++first[i];
+    };
+    const std::function<void(size_t)> run_second = [&](size_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      ++second[i];
+    };
+    pool.ParallelFor(first.size(), run_first);
+    pool.ParallelFor(second.size(), run_second);
+    for (size_t i = 0; i < first.size(); ++i) EXPECT_EQ(first[i], 1) << i;
+    for (size_t i = 0; i < second.size(); ++i) EXPECT_EQ(second[i], 1) << i;
+  }
 }
 
 TEST(WorkerPoolTest, SequentialPoolRunsInline) {
