@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "eval/cq_evaluator.h"
+#include "exec/vm.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "util/failpoint.h"
@@ -38,6 +39,24 @@ FoQuery ResidualQuery(const std::string& name, const std::vector<CqAtom>& atoms,
       std::vector<Variable>(quantified.begin(), quantified.end()),
       Formula::And(std::move(conjuncts)));
   return q;
+}
+
+/// Bounded evaluation of `q` under `env` on the VM, with the program for
+/// env's variables taken from (or compiled into) `programs`.
+Result<AnswerSet> EvaluateCompiled(
+    exec::CompiledPlanSet* programs, const FoQuery& q,
+    const std::shared_ptr<const ControllabilityAnalysis>& analysis,
+    Database* db, const Binding& env, const exec::GovernorLimits& limits,
+    BoundedEvalStats* stats) {
+  VarSet vars;
+  for (const auto& [v, val] : env) {
+    (void)val;
+    vars.insert(v);
+  }
+  SI_ASSIGN_OR_RETURN(auto program, programs->Plain(q, analysis, vars));
+  exec::CompiledEvaluator vm(db);
+  vm.set_limits(limits);
+  return vm.Evaluate(*program, env, stats);
 }
 
 }  // namespace
@@ -147,10 +166,9 @@ std::optional<Binding> IncrementalMaintainer::UnifyAtom(
 Status IncrementalMaintainer::CollectAnswers(
     const Occurrence& occ, Database* db, const Binding& env, AnswerSet* out,
     BoundedEvalStats* stats, const exec::GovernorLimits& limits) const {
-  BoundedEvaluator be(db);
-  be.set_limits(limits);
   SI_ASSIGN_OR_RETURN(AnswerSet partial,
-                      be.Evaluate(occ.residual, *occ.analysis, env, stats));
+                      EvaluateCompiled(occ.programs.get(), occ.residual,
+                                       occ.analysis, db, env, limits, stats));
   // Residual answers cover the head variables not bound by env, in the
   // residual's head order.
   std::vector<Variable> open;
@@ -284,11 +302,10 @@ Status IncrementalMaintainer::RecheckCandidatesImpl(
       }
     }
     if (!consistent) continue;
-    BoundedEvaluator be(db);
-    be.set_limits(limits);
     SI_ASSIGN_OR_RETURN(
         AnswerSet still,
-        be.Evaluate(membership_query_, *membership_analysis_, env, stats));
+        EvaluateCompiled(membership_programs_.get(), membership_query_,
+                         membership_analysis_, db, env, limits, stats));
     if (still.empty()) answers->erase(candidate);
   }
   return Status::OK();

@@ -8,6 +8,7 @@
 
 #include "core/bounded_eval.h"
 #include "core/controllability.h"
+#include "exec/compiler.h"
 #include "incremental/delta_rules.h"
 #include "query/cq.h"
 
@@ -92,6 +93,10 @@ class IncrementalMaintainer {
     size_t atom_index;
     FoQuery residual;  ///< remaining atoms, existentially closed
     std::shared_ptr<ControllabilityAnalysis> analysis;
+    /// The residual's bytecode beside its derivation, compiled once per
+    /// parameter set rather than once per update tuple.
+    std::shared_ptr<exec::CompiledPlanSet> programs =
+        std::make_shared<exec::CompiledPlanSet>();
     bool controlled = false;
     double fetch_bound = 0;
   };
@@ -133,6 +138,8 @@ class IncrementalMaintainer {
   /// Membership re-check: body controlled by params + head variables.
   FoQuery membership_query_;
   std::shared_ptr<ControllabilityAnalysis> membership_analysis_;
+  std::shared_ptr<exec::CompiledPlanSet> membership_programs_ =
+      std::make_shared<exec::CompiledPlanSet>();
   bool deletions_supported_ = false;
 };
 

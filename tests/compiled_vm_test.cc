@@ -603,6 +603,72 @@ TEST(GoldenTest, EmbeddedFailpointErrors) {
   });
 }
 
+TEST(GoldenTest, EmbeddedExtraBindings) {
+  // Bindings beyond the analysis' parameters seed the chase like
+  // parameters: they filter candidates and stay in the answers.
+  DatedSocial social;
+  EmbeddedCqAnalysis analysis = social.Analysis();
+  for (int64_t p = 0; p < 6; ++p) {
+    for (int64_t rid : {0, 1, 2}) {
+      Binding params = social.Params(p);
+      params.emplace(V("rid"), Value::Int(rid));
+      ExpectGoldenAtThreads("embedded q3 extra p=" + std::to_string(p) +
+                                " rid=" + std::to_string(rid),
+                            [&] {
+                              BoundedEvaluator eval(&social.db);
+                              BoundedEvalStats stats;
+                              stats.capture_ops = true;
+                              return AnswerRecord(
+                                  eval.EvaluateEmbedded(analysis, params,
+                                                        &stats),
+                                  stats);
+                            });
+    }
+  }
+}
+
+TEST(GoldenTest, EmbeddedWideAtom) {
+  // A 70-attribute relation: the chase tracks more positions than one
+  // machine word.
+  constexpr int kArity = 70;
+  Schema s;
+  std::vector<std::string> attrs;
+  for (int i = 0; i < kArity; ++i) attrs.push_back("c" + std::to_string(i));
+  s.Relation("w", attrs);
+  Database db(s);
+  for (int64_t row = 0; row < 12; ++row) {
+    Tuple t;
+    t.push_back(Value::Int(row % 3));
+    for (int i = 1; i < kArity; ++i) t.push_back(Value::Int(row * 100 + i % 5));
+    db.Insert("w", t);
+  }
+  AccessSchema access;
+  access.AddEmbedded("w", {"c0"}, {"c1", "c69"}, 8);
+  access.Add("w", {"c0"}, 8);
+  ASSERT_TRUE(access.BuildIndexes(&db, s).ok());
+  std::string text = "Q(x, y) :- w(k";
+  for (int i = 1; i < kArity; ++i) {
+    text += i == 1 ? ", x" : i == kArity - 1 ? ", y" : ", v" + std::to_string(i);
+  }
+  text += ")";
+  Result<Cq> q = ParseCq(text, &s);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  Result<EmbeddedCqAnalysis> analysis =
+      EmbeddedCqAnalysis::Analyze(*q, s, access, {V("k")});
+  ASSERT_TRUE(analysis.ok());
+  ASSERT_TRUE(analysis->IsScaleIndependent());
+  for (int64_t k = 0; k < 4; ++k) {
+    ExpectGoldenAtThreads("embedded wide k=" + std::to_string(k), [&] {
+      BoundedEvaluator eval(&db);
+      BoundedEvalStats stats;
+      stats.capture_ops = true;
+      return AnswerRecord(
+          eval.EvaluateEmbedded(*analysis, {{V("k"), Value::Int(k)}}, &stats),
+          stats);
+    });
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The bounded-evaluation unit tests' `or` / `forall` databases.
 
