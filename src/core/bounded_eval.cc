@@ -16,15 +16,6 @@ std::shared_ptr<const T> Borrow(const T& object) {
   return std::shared_ptr<const T>(std::shared_ptr<const T>(), &object);
 }
 
-VarSet VarsOf(const Binding& params) {
-  VarSet vars;
-  for (const auto& [v, val] : params) {
-    (void)val;
-    vars.insert(v);
-  }
-  return vars;
-}
-
 using Program = Result<std::shared_ptr<const exec::CompiledProgram>>;
 
 /// Compiles one program per distinct variable set in `batch` and prebuilds
@@ -39,7 +30,7 @@ std::vector<Result<AnswerSet>> RunBatch(const Database& db,
                                         const Run& run) {
   std::map<VarSet, Program> programs;
   for (const Binding& b : batch) {
-    VarSet vars = VarsOf(b);
+    VarSet vars = BoundVars(b);
     if (programs.count(vars)) continue;
     Program p = compile(vars);
     if (p.ok()) exec::PrebuildCompiledIndexes(db, **p);
@@ -52,7 +43,7 @@ std::vector<Result<AnswerSet>> RunBatch(const Database& db,
   const bool capture_ops = stats != nullptr && stats->capture_ops;
   par::WorkerPool::Global().ParallelFor(batch.size(), [&](size_t i) {
     worker_stats[i].capture_ops = capture_ops;
-    const Program& p = programs.at(VarsOf(batch[i]));
+    const Program& p = programs.at(BoundVars(batch[i]));
     slots[i].emplace(p.ok() ? run(**p, batch[i], &worker_stats[i])
                             : Result<AnswerSet>(p.status()));
   });
@@ -81,7 +72,7 @@ Result<AnswerSet> BoundedEvaluator::Evaluate(
   SI_CHECK_MSG(analysis.root().formula.Equals(q.body),
                "analysis does not match the query body");
   SI_ASSIGN_OR_RETURN(auto program,
-                      exec::CompilePlain(q, Borrow(analysis), VarsOf(params)));
+                      exec::CompilePlain(q, Borrow(analysis), BoundVars(params)));
   return Vm().Evaluate(*program, params, stats);
 }
 
@@ -91,7 +82,7 @@ Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateDegraded(
   SI_CHECK_MSG(analysis.root().formula.Equals(q.body),
                "analysis does not match the query body");
   SI_ASSIGN_OR_RETURN(auto program,
-                      exec::CompilePlain(q, Borrow(analysis), VarsOf(params)));
+                      exec::CompilePlain(q, Borrow(analysis), BoundVars(params)));
   return Vm().EvaluateDegraded(*program, params, stats);
 }
 
@@ -114,7 +105,7 @@ Result<AnswerSet> BoundedEvaluator::EvaluateEmbedded(
     const EmbeddedCqAnalysis& analysis, const Binding& params,
     BoundedEvalStats* stats) const {
   SI_ASSIGN_OR_RETURN(auto program,
-                      exec::CompileEmbedded(Borrow(analysis), VarsOf(params)));
+                      exec::CompileEmbedded(Borrow(analysis), BoundVars(params)));
   return Vm().EvaluateEmbedded(*program, params, stats);
 }
 
@@ -137,7 +128,7 @@ Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateEmbeddedDegraded(
     const EmbeddedCqAnalysis& analysis, const Binding& params,
     BoundedEvalStats* stats, bool fallback_to_approx) const {
   SI_ASSIGN_OR_RETURN(auto program,
-                      exec::CompileEmbedded(Borrow(analysis), VarsOf(params)));
+                      exec::CompileEmbedded(Borrow(analysis), BoundVars(params)));
   return Vm().EvaluateEmbeddedDegraded(*program, params, stats,
                                        fallback_to_approx);
 }

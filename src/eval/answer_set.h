@@ -18,6 +18,13 @@ using AnswerSet = std::set<Tuple>;
 /// parameters x̄ of Q(x̄, ȳ) throughout the paper.
 using Binding = std::map<Variable, Value>;
 
+/// The variables a binding fixes.
+inline VarSet BoundVars(const Binding& binding) {
+  VarSet vars;
+  for (const auto& entry : binding) vars.insert(entry.first);
+  return vars;
+}
+
 inline bool BooleanAnswer(const AnswerSet& answers) { return !answers.empty(); }
 
 inline std::string AnswerSetToString(const AnswerSet& answers,

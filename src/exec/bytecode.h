@@ -201,7 +201,6 @@ struct CompiledProgram {
   // --- plain ---
   std::vector<PlainStage> stages;
   std::vector<BlockCode> blocks;  ///< non-leaf conjuncts (LeafCode::block)
-  std::vector<Reg> final_layout;  ///< result binding domain, id-sorted
   std::vector<Reg> head_regs;     ///< open head variables in head order
 
   // --- embedded ---

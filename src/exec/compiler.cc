@@ -370,7 +370,6 @@ Result<std::shared_ptr<const CompiledProgram>> CompilePlain(
     stage.layout = lower.Layout(domain);
     p->stages.push_back(std::move(stage));
   }
-  p->final_layout = lower.Layout(domain);
 
   for (const Variable& v : q.head) {
     if (param_vars.count(v)) continue;

@@ -650,11 +650,7 @@ void RunPlainProgram(const Shared& sh, ExecContext* ctx, const Binding& params,
 }
 
 Status CheckParams(const CompiledProgram& p, const Binding& params) {
-  VarSet vars;
-  for (const auto& [v, val] : params) {
-    (void)val;
-    vars.insert(v);
-  }
+  const VarSet vars = BoundVars(params);
   if (vars != p.params) {
     return Status::InvalidArgument(
         "compiled program was built for parameters " +

@@ -48,12 +48,8 @@ Result<AnswerSet> EvaluateCompiled(
     const std::shared_ptr<const ControllabilityAnalysis>& analysis,
     Database* db, const Binding& env, const exec::GovernorLimits& limits,
     BoundedEvalStats* stats) {
-  VarSet vars;
-  for (const auto& [v, val] : env) {
-    (void)val;
-    vars.insert(v);
-  }
-  SI_ASSIGN_OR_RETURN(auto program, programs->Plain(q, analysis, vars));
+  SI_ASSIGN_OR_RETURN(auto program,
+                      programs->Plain(q, analysis, BoundVars(env)));
   exec::CompiledEvaluator vm(db);
   vm.set_limits(limits);
   return vm.Evaluate(*program, env, stats);

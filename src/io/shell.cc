@@ -17,15 +17,6 @@
 namespace scalein {
 namespace {
 
-VarSet ParamVars(const Binding& params) {
-  VarSet vars;
-  for (const auto& [v, val] : params) {
-    (void)val;
-    vars.insert(v);
-  }
-  return vars;
-}
-
 /// Parses "x=1,y=\"NYC\"" into a Binding.
 Result<Binding> ParseShellBinding(std::string_view text) {
   Binding out;
@@ -328,7 +319,7 @@ Result<Shell::BoundedRun> Shell::RunBounded(const ServePlan& plan,
   // Compile on first sight; the program lives in the analysis-cache entry,
   // shared across sessions and dropped with the derivation on DDL.
   Result<std::shared_ptr<const exec::CompiledProgram>> program =
-      plan.compiled->Plain(plan.query, plan.analysis, ParamVars(plan.params));
+      plan.compiled->Plain(plan.query, plan.analysis, BoundVars(plan.params));
   Result<exec::Degraded<AnswerSet>> evaled = [&] {
     if (!program.ok()) {
       return Result<exec::Degraded<AnswerSet>>(program.status());
@@ -538,7 +529,7 @@ Result<ServePlan> Shell::PlanForServe(std::string_view rest) {
   // The same option the evaluator will execute, so the bound the admission
   // decision cites is the bound the certificate will carry.
   const ControlOption* opt =
-      plan.analysis->BestOptionFor(ParamVars(plan.params));
+      plan.analysis->BestOptionFor(BoundVars(plan.params));
   plan.static_bound = opt == nullptr ? -1.0 : opt->fetch_bound;
   return plan;
 }

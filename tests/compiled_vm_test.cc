@@ -220,15 +220,6 @@ std::string AnswerRecord(const Result<AnswerSet>& r,
          StatsLines(stats, false, exec::TripInfo());
 }
 
-VarSet VarsOf(const Binding& params) {
-  VarSet vars;
-  for (const auto& [v, val] : params) {
-    (void)val;
-    vars.insert(v);
-  }
-  return vars;
-}
-
 /// One plain evaluation through the degradation-aware entry point, with the
 /// op forest captured.
 std::string PlainRecord(const FoQuery& q,
@@ -251,7 +242,7 @@ std::string CachedProgramRecord(
     Database* db, const Binding& params, const exec::GovernorLimits& limits,
     bool enforce) {
   Result<std::shared_ptr<const exec::CompiledProgram>> program =
-      plans->Plain(q, analysis, VarsOf(params));
+      plans->Plain(q, analysis, BoundVars(params));
   if (!program.ok()) return StatusLine(program.status());
   exec::CompiledEvaluator vm(db);
   vm.set_limits(limits);
