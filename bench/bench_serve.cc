@@ -43,6 +43,7 @@
 
 #include "bench_util.h"
 #include "io/shell.h"
+#include "obs/metrics.h"
 #include "serve/access_log.h"
 #include "serve/server.h"
 #include "util/rng.h"
@@ -117,10 +118,8 @@ double ParseBefore(const std::string& text, const std::string& marker) {
 }
 
 double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
-  const size_t idx = static_cast<size_t>(p * (v.size() - 1));
-  return v[idx];
+  return obs::NearestRankPercentile(v, p);
 }
 
 struct LoopStats {
@@ -498,7 +497,7 @@ int main(int argc, char** argv) {
               Percentile(closed.latencies_ms, 0.99));
 
   // Per-phase latency split, recomputed from the structured access log the
-  // closed loop just wrote — the same artifact scripts/serve_report.py
+  // closed loop just wrote — the same artifact `scalein_served --report`
   // reads offline. Filtered to the closed-loop sessions so the serial
   // class probes above don't skew the percentiles.
   {

@@ -28,11 +28,18 @@
 // SCALEIN_SLA_MAX_RUNNING. See docs/usage.md.
 //
 // Observability plane: SCALEIN_ACCESS_LOG_PATH arms the structured JSONL
-// access log (rotated at SCALEIN_ACCESS_LOG_MAX_BYTES;
-// scripts/serve_report.py reads it offline); SCALEIN_METRICS_PORT (TCP mode
-// only) opens a loopback HTTP scrape endpoint serving GET /metrics
+// access log (rotated at SCALEIN_ACCESS_LOG_MAX_BYTES); SCALEIN_METRICS_PORT
+// (TCP mode only) opens a loopback HTTP scrape endpoint serving GET /metrics
 // (Prometheus text) and GET /healthz (drain-aware). See
 // docs/observability.md.
+//
+// Offline report mode:
+//   ./build/examples/scalein_served --report access.jsonl [--journal j.jsonl]
+//   — prints the serve report over every surviving generation of the access
+//   log (per-class tallies, phase percentiles, slowest requests, bound
+//   slack, client tags, and the query_id join against the sealed journal;
+//   serve::RenderServeReport) and exits: 0 when printed, 2 when no
+//   generation of the access log exists.
 
 #include <atomic>
 #include <chrono>
@@ -71,12 +78,29 @@ int Fail(const char* what, const scalein::Status& status) {
 int main(int argc, char** argv) {
   bool scripted = false;
   const char* catalog_path = nullptr;
+  const char* report_path = nullptr;
+  std::string journal_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--script") == 0) {
       scripted = true;
+    } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
+      report_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc) {
+      journal_path = argv[++i];
     } else {
       catalog_path = argv[i];
     }
+  }
+
+  if (report_path != nullptr) {
+    scalein::Result<std::string> report =
+        scalein::serve::RenderServeReport(report_path, journal_path);
+    if (!report.ok()) {
+      std::fprintf(stderr, "report: %s\n", report.status().ToString().c_str());
+      return 2;
+    }
+    std::fputs(report->c_str(), stdout);
+    return 0;
   }
 
   scalein::Shell shell;

@@ -101,9 +101,7 @@ Shell::Shell() {
           "warning: journal load failed: " + loaded.status().message() + "\n";
     } else if (!loaded->empty()) {
       for (const obs::JournalEntry& e : *loaded) {
-        // Tampered entries are reported (in the load note), never trusted:
-        // both this replay and workload_report.py exclude them, so the two
-        // views stay byte-comparable.
+        // Tampered entries are reported (in the load note), never trusted.
         if (e.seal_ok) workload_->Observe(e.cert, e.latency_ms, e.noncontrollable);
       }
       journal_note_ = "replayed " + report.ToString() + "\n";
@@ -168,8 +166,9 @@ std::string Shell::HelpText() {
       "  certify <dump.json>  re-verify certificates from a dump file\n"
       "  dump [path]    write the flight-recorder/journal/metrics dump\n"
       "  slowlog [<ms>|off]  set/show the slow-query threshold\n"
-      "  workload [top K | fingerprint <fp>]  per-fingerprint bound-accuracy\n"
-      "                 telemetry (persisted via SCALEIN_JOURNAL_PATH)\n"
+      "  workload [top K | fingerprint <fp> | advice]  per-fingerprint\n"
+      "                 bound-accuracy telemetry and view / FD-aware-bound\n"
+      "                 advice (persisted via SCALEIN_JOURNAL_PATH)\n"
       "  quit\n";
 }
 
@@ -857,8 +856,9 @@ Result<std::string> Shell::RunWorkload(std::string_view rest) const {
     const std::string fp(StripWhitespace(args.substr(12)));
     if (!fp.empty()) return workload_->RenderFingerprint(fp);
   }
+  if (args == "advice") return workload_->RenderAdvice();
   return Status::InvalidArgument(
-      "usage: workload [top K | fingerprint <fp>]");
+      "usage: workload [top K | fingerprint <fp> | advice]");
 }
 
 Result<std::string> Shell::RunSlowlog(std::string_view rest) {

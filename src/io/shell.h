@@ -77,7 +77,7 @@ struct ServeEvalOutcome {
 ///                  decisions per relation (and applies them on resize)
 ///   stats [prom] | stats watch <secs> [path] | stats watch off
 ///   journal | certify [dump.json|journal.jsonl] | dump [path]
-///   slowlog [<ms>|off] | workload [top K | fingerprint <fp>]
+///   slowlog [<ms>|off] | workload [top K | fingerprint <fp> | advice]
 ///
 /// `limit` arms the session's resource governor: later eval/explain/qdsi
 /// commands run under the envelope and report *partial* results plus the
@@ -95,8 +95,10 @@ struct ServeEvalOutcome {
 /// trips, failpoint-induced errors, and session end. With
 /// SCALEIN_JOURNAL_PATH set, every certificate is also appended to a
 /// persistent JSONL journal (rotated at SCALEIN_JOURNAL_MAX_BYTES) and the
-/// workload aggregator replays it at startup, so `workload` statistics
-/// survive restarts; scripts/workload_report.py reads the same files.
+/// workload aggregator replays it at startup (re-verifying every seal), so
+/// `workload` statistics survive restarts. That replay is the offline
+/// workload report: `SCALEIN_JOURNAL_PATH=<j> scalein_shell`, then
+/// `workload`, `workload top K` and `workload advice`.
 class Shell {
  public:
   /// Also arms the failpoint framework from SCALEIN_FAILPOINTS, the
@@ -195,7 +197,8 @@ class Shell {
   Result<std::string> RunSlowlog(std::string_view rest);
   /// `threads [N]`: show or resize the global morsel worker pool.
   Result<std::string> RunThreads(std::string_view rest);
-  /// `workload [top K | fingerprint <fp>]`: per-fingerprint telemetry.
+  /// `workload [top K | fingerprint <fp> | advice]`: per-fingerprint
+  /// telemetry and the view / FD-aware-bound advice.
   Result<std::string> RunWorkload(std::string_view rest) const;
   /// One bounded evaluation's products (RunBounded).
   struct BoundedRun {

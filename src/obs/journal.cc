@@ -117,6 +117,12 @@ bool CertVerdictFromName(std::string_view name, CertVerdict* out) {
 
 namespace {
 
+/// Generation `gen` of a rotated file: `path` itself for 0, `path.<gen>`
+/// otherwise — the one naming rule behind rotation and replay.
+std::string GenerationPath(const std::string& path, int gen) {
+  return gen == 0 ? path : path + "." + std::to_string(gen);
+}
+
 /// One parsed certificate object — shared by the dump reader (arrays) and
 /// the JSONL journal reader (one object per line).
 Result<AccessCertificate> CertificateFromJsonValue(const JsonValue& c) {
@@ -307,20 +313,15 @@ Status RotatingJsonlFile::RotateLocked() {
   std::error_code ec;
   out_.reset();  // close the live handle before renaming under it
   // path.1 -> path.2 (clobbering the oldest generation), then path -> path.1.
-  for (int gen = kRotations - 1; gen >= 1; --gen) {
-    const std::string from = path_ + "." + std::to_string(gen);
-    const std::string to = path_ + "." + std::to_string(gen + 1);
-    if (!fs::exists(from, ec)) continue;
+  for (int gen = kRotations - 1; gen >= 0; --gen) {
+    const std::string from = GenerationPath(path_, gen);
+    const std::string to = GenerationPath(path_, gen + 1);
+    if (gen > 0 && !fs::exists(from, ec)) continue;
     fs::rename(from, to, ec);
     if (ec) {
       return Status::Internal("journal rotate: cannot rename '" + from +
                               "' to '" + to + "': " + ec.message());
     }
-  }
-  fs::rename(path_, path_ + ".1", ec);
-  if (ec) {
-    return Status::Internal("journal rotate: cannot rename '" + path_ +
-                            "': " + ec.message());
   }
   ++rotations_;
   live_bytes_ = 0;
@@ -375,12 +376,32 @@ uint64_t RotatingJsonlFile::rotations() const {
   return rotations_;
 }
 
-std::vector<std::string> RotatingJsonlFile::GenerationsOldestFirst() const {
-  std::vector<std::string> out;
-  for (int gen = kRotations; gen >= 0; --gen) {
-    out.push_back(gen == 0 ? path_ : path_ + "." + std::to_string(gen));
+void LoadRotatedJsonl(
+    const std::string& path,
+    const std::function<Status(const JsonValue& line,
+                               const std::string& where)>& visit,
+    JsonlLoadReport* report) {
+  // Oldest generation first, so replay order equals append order.
+  for (int gen = RotatingJsonlFile::kRotations; gen >= 0; --gen) {
+    const std::string file = GenerationPath(path, gen);
+    std::ifstream in(file);
+    if (!in.is_open()) continue;
+    ++report->files;
+    std::string line;
+    size_t lineno = 0;
+    while (std::getline(in, line)) {
+      ++lineno;
+      if (line.empty()) continue;
+      const std::string where = file + ":" + std::to_string(lineno);
+      Result<JsonValue> parsed = ParseJson(line);
+      const Status status =
+          parsed.ok() ? visit(*parsed, where) : parsed.status();
+      if (!status.ok()) {
+        ++report->malformed;
+        report->errors.push_back(where + ": " + status.message());
+      }
+    }
   }
-  return out;
 }
 
 JournalStore::JournalStore(std::string path, uint64_t max_bytes)
@@ -397,47 +418,29 @@ Result<std::vector<JournalEntry>> JournalStore::Load(
     JournalLoadReport* report) const {
   JournalLoadReport local;
   std::vector<JournalEntry> out;
-  // Oldest generation first, so replay order equals append order.
-  for (const std::string& file : file_.GenerationsOldestFirst()) {
-    std::ifstream in(file);
-    if (!in.is_open()) continue;
-    ++local.files;
-    std::string line;
-    size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty()) continue;
-      Result<JsonValue> parsed = ParseJson(line);
-      if (!parsed.ok()) {
-        ++local.malformed;
-        local.errors.push_back(file + ":" + std::to_string(lineno) + ": " +
-                               parsed.status().message());
-        continue;
-      }
-      Result<AccessCertificate> cert = CertificateFromJsonValue(*parsed);
-      if (!cert.ok()) {
-        ++local.malformed;
-        local.errors.push_back(file + ":" + std::to_string(lineno) + ": " +
-                               cert.status().message());
-        continue;
-      }
-      JournalEntry entry;
-      entry.cert = std::move(cert).ValueOrDie();
-      entry.latency_ms = parsed->NumberOr("latency_ms", -1.0);
-      entry.noncontrollable = parsed->BoolOr("noncontrollable", false);
-      entry.client_tag = parsed->StringOr("client_tag", "");
-      entry.seal_ok = VerifyCertificate(entry.cert);
-      if (entry.seal_ok) {
-        ++local.sealed_ok;
-      } else {
-        ++local.tampered;
-        local.errors.push_back(file + ":" + std::to_string(lineno) +
-                               ": seal mismatch (tampered after sealing?)");
-      }
-      ++local.entries;
-      out.push_back(std::move(entry));
-    }
-  }
+  LoadRotatedJsonl(
+      path(),
+      [&](const JsonValue& line, const std::string& where) -> Status {
+        Result<AccessCertificate> cert = CertificateFromJsonValue(line);
+        if (!cert.ok()) return cert.status();
+        JournalEntry entry;
+        entry.cert = std::move(cert).ValueOrDie();
+        entry.latency_ms = line.NumberOr("latency_ms", -1.0);
+        entry.noncontrollable = line.BoolOr("noncontrollable", false);
+        entry.client_tag = line.StringOr("client_tag", "");
+        entry.seal_ok = VerifyCertificate(entry.cert);
+        if (entry.seal_ok) {
+          ++local.sealed_ok;
+        } else {
+          ++local.tampered;
+          local.errors.push_back(where +
+                                 ": seal mismatch (tampered after sealing?)");
+        }
+        ++local.entries;
+        out.push_back(std::move(entry));
+        return Status::OK();
+      },
+      &local);
   if (report != nullptr) *report = std::move(local);
   return out;
 }

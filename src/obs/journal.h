@@ -2,6 +2,7 @@
 #define SCALEIN_OBS_JOURNAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -115,16 +116,36 @@ struct JournalEntry {
   bool seal_ok = false;         ///< VerifyCertificate at load time
 };
 
-/// What a JournalStore::Load pass found, for surfacing instead of crashing:
-/// tampered entries (seal mismatch) and malformed lines are counted and
-/// described, never fatal.
-struct JournalLoadReport {
+/// What a pass over a rotated JSONL stream found: the generations read and
+/// the lines skipped as malformed, each described as "file:line: why" in
+/// `errors` — counted, never fatal.
+struct JsonlLoadReport {
   size_t files = 0;
+  size_t malformed = 0;
+  std::vector<std::string> errors;
+};
+
+struct JsonValue;
+
+/// The one offline reader of a RotatingJsonlFile: replays every surviving
+/// generation oldest-first (`path.2`, `path.1`, `path`), so lines arrive in
+/// append order. Each non-empty line is parsed and handed to `visit` with
+/// its "file:line" location; a line that does not parse, or that `visit`
+/// refuses with a non-OK Status, counts as malformed. A missing generation
+/// is skipped — a missing file is an empty stream, not an error.
+void LoadRotatedJsonl(
+    const std::string& path,
+    const std::function<Status(const JsonValue& line,
+                               const std::string& where)>& visit,
+    JsonlLoadReport* report);
+
+/// What a JournalStore::Load pass found, for surfacing instead of crashing:
+/// tampered entries (seal mismatch, also listed in `errors`) and malformed
+/// lines are counted and described, never fatal.
+struct JournalLoadReport : JsonlLoadReport {
   size_t entries = 0;
   size_t sealed_ok = 0;
   size_t tampered = 0;
-  size_t malformed = 0;
-  std::vector<std::string> errors;
 
   /// "journal: N entries (S sealed, T tampered, M malformed)".
   std::string ToString() const;
@@ -161,11 +182,6 @@ class RotatingJsonlFile {
   uint64_t appended() const;
   uint64_t rotations() const;
 
-  /// Every surviving generation's file path, oldest first (`path.2`,
-  /// `path.1`, `path`) — missing generations are simply omitted, so readers
-  /// replay lines in append order.
-  std::vector<std::string> GenerationsOldestFirst() const;
-
  private:
   Status RotateLocked();
 
@@ -182,10 +198,9 @@ class RotatingJsonlFile {
 
 /// Durable append-only query journal: one JSONL line per sealed certificate
 /// (plus non-sealed latency/noncontrollable/client-tag siblings), written to
-/// SCALEIN_JOURNAL_PATH via a RotatingJsonlFile. Load replays `path.2`,
-/// `path.1`, `path` in that order — oldest entry first — re-verifying every
-/// seal, so a workload history survives shell restarts and stays checkable
-/// offline.
+/// SCALEIN_JOURNAL_PATH via a RotatingJsonlFile. Load replays it through
+/// LoadRotatedJsonl — oldest entry first — re-verifying every seal, so a
+/// workload history survives shell restarts and stays checkable offline.
 class JournalStore {
  public:
   static constexpr uint64_t kDefaultMaxBytes = 1 << 20;

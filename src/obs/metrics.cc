@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/json.h"
 #include "obs/trace.h"
@@ -18,6 +19,13 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 size_t HistogramBucketIndex(const std::vector<double>& edges, double value) {
   return static_cast<size_t>(
       std::lower_bound(edges.begin(), edges.end(), value) - edges.begin());
+}
+
+double NearestRankPercentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
+  const size_t idx = rank <= 1 ? 0 : static_cast<size_t>(rank) - 1;
+  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 void Histogram::Observe(double value) {

@@ -41,6 +41,12 @@ class Gauge {
 /// which bucket an observation landed in.
 size_t HistogramBucketIndex(const std::vector<double>& edges, double value);
 
+/// The one percentile rule: the nearest-rank ceil(q·n)-th smallest of
+/// `sorted` (ascending), clamped to the first and last sample; 0 when empty.
+/// `q` in (0, 1]. Behind the workload.bound_slack_p50/p99 gauges and the
+/// offline serve report's percentiles alike.
+double NearestRankPercentile(const std::vector<double>& sorted, double q);
+
 /// Fixed-bucket histogram: `upper_bounds` are inclusive bucket upper edges
 /// in ascending order, with an implicit final +inf bucket. Observations also
 /// feed a running count and sum, so means are recoverable from a snapshot.

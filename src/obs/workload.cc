@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -18,9 +19,7 @@ void ObserveBucket(std::vector<uint64_t>* buckets,
   ++(*buckets)[HistogramBucketIndex(edges, value)];
 }
 
-/// The canonical per-class line. scripts/workload_report.py emits byte-for-
-/// byte identical lines from the journal, so the online `workload top` view
-/// and the offline report can be diffed directly; keep the two in sync.
+/// The canonical per-class line of `workload top` and `workload fingerprint`.
 std::string FormatFingerprintLine(const WorkloadFingerprintStats& s) {
   std::string accuracy = s.accuracy_count > 0
                              ? StrFormat("%.4f", s.MeanAccuracy())
@@ -180,6 +179,60 @@ std::string WorkloadAggregator::RenderTop(size_t k) const {
   return out;
 }
 
+std::string WorkloadAggregator::RenderAdvice() const {
+  const std::vector<WorkloadFingerprintStats> all =
+      Top(std::numeric_limits<size_t>::max());
+  std::vector<const WorkloadFingerprintStats*> views;
+  std::vector<const WorkloadFingerprintStats*> slack;
+  for (const WorkloadFingerprintStats& s : all) {
+    if (s.noncontrollable + s.exceeded > 0) views.push_back(&s);
+    if (s.MeanSlack() >= kFdSlackThreshold) slack.push_back(&s);
+  }
+  // Recurring evaluations rejected as non-controllable or fetching past
+  // their bound: a materialized view would make them controllable.
+  std::sort(views.begin(), views.end(),
+            [](const WorkloadFingerprintStats* a,
+               const WorkloadFingerprintStats* b) {
+              const uint64_t sa = a->noncontrollable + a->exceeded;
+              const uint64_t sb = b->noncontrollable + b->exceeded;
+              if (sa != sb) return sa > sb;
+              return a->fingerprint < b->fingerprint;
+            });
+  std::string out =
+      "views would help (non-controllable or bound-exceeding classes):\n";
+  if (views.empty()) out += "  (none)\n";
+  for (const WorkloadFingerprintStats* s : views) {
+    out += StrFormat("  %s score=%llu nonctrl=%llu exceeded=%llu n=%llu  %s\n",
+                     s->fingerprint.c_str(),
+                     static_cast<unsigned long long>(s->noncontrollable +
+                                                     s->exceeded),
+                     static_cast<unsigned long long>(s->noncontrollable),
+                     static_cast<unsigned long long>(s->exceeded),
+                     static_cast<unsigned long long>(s->count),
+                     s->sample_query.c_str());
+  }
+  // Classes whose static bound is wildly pessimistic: an FD-aware bound (or
+  // tighter access constraints) would admit them under a smaller budget.
+  std::sort(slack.begin(), slack.end(),
+            [](const WorkloadFingerprintStats* a,
+               const WorkloadFingerprintStats* b) {
+              if (a->MeanSlack() != b->MeanSlack()) {
+                return a->MeanSlack() > b->MeanSlack();
+              }
+              return a->fingerprint < b->fingerprint;
+            });
+  out += StrFormat("\nFD-aware bounds would help (mean slack >= %g):\n",
+                   kFdSlackThreshold);
+  if (slack.empty()) out += "  (none)\n";
+  for (const WorkloadFingerprintStats* s : slack) {
+    out += StrFormat("  %s slack=%.1fx n=%llu accuracy=%.4f  %s\n",
+                     s->fingerprint.c_str(), s->MeanSlack(),
+                     static_cast<unsigned long long>(s->count),
+                     s->MeanAccuracy(), s->sample_query.c_str());
+  }
+  return out;
+}
+
 std::string WorkloadAggregator::RenderFingerprint(
     const std::string& fingerprint) const {
   WorkloadFingerprintStats s;
@@ -226,12 +279,9 @@ int64_t WorkloadAggregator::SlackPercentilePercent(double p) const {
     std::lock_guard<std::mutex> lock(mu_);
     samples = slack_percents_;
   }
-  if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(samples.size()));
-  size_t idx = rank <= 1 ? 0 : static_cast<size_t>(rank) - 1;
-  if (idx >= samples.size()) idx = samples.size() - 1;
-  return static_cast<int64_t>(std::llround(samples[idx]));
+  return static_cast<int64_t>(
+      std::llround(NearestRankPercentile(samples, p / 100.0)));
 }
 
 void WorkloadAggregator::ExportMetrics(MetricsRegistry* registry) const {

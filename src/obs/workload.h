@@ -92,10 +92,19 @@ class WorkloadAggregator {
   bool Find(const std::string& fingerprint,
             WorkloadFingerprintStats* out) const;
 
-  /// The `workload [top K]` shell rendering: a summary header plus one line
-  /// per class. scripts/workload_report.py emits the identical lines, so
-  /// online and offline views are byte-comparable.
+  /// The `workload` / `workload top K` shell rendering: a summary header
+  /// plus one line per class. Live and replayed-journal observations render
+  /// alike, so `SCALEIN_JOURNAL_PATH=<j> scalein_shell` is the offline
+  /// workload report.
   std::string RenderTop(size_t k) const;
+  /// The `workload advice` rendering: the classes a materialized view would
+  /// rescue (non-controllable or bound-exceeding, ranked by nonctrl +
+  /// exceeded) and those whose mean bound slack reaches kFdSlackThreshold,
+  /// where an FD-aware Theorem 4.2 bound would admit them under a smaller
+  /// SLA budget. Deterministic, like RenderTop.
+  std::string RenderAdvice() const;
+  /// Mean bound/actual at which `workload advice` recommends FD-aware bounds.
+  static constexpr double kFdSlackThreshold = 10.0;
   /// The `workload fingerprint <fp>` detail rendering (adds latency, which
   /// is why it is *not* part of the deterministic surface).
   std::string RenderFingerprint(const std::string& fingerprint) const;

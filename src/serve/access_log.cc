@@ -1,8 +1,12 @@
 #include "serve/access_log.h"
 
-#include <fstream>
+#include <algorithm>
+#include <map>
+#include <unordered_map>
 
 #include "obs/json.h"
+#include "obs/metrics.h"
+#include "util/strings.h"
 
 namespace scalein::serve {
 
@@ -132,38 +136,187 @@ Result<std::vector<AccessLogRecord>> LoadAccessLogRecords(
     const std::string& path, AccessLogLoadReport* report) {
   AccessLogLoadReport local;
   std::vector<AccessLogRecord> out;
-  // Oldest generation first, so replay order equals append order (mirrors
-  // JournalStore::Load).
-  for (int gen = obs::RotatingJsonlFile::kRotations; gen >= 0; --gen) {
-    const std::string file =
-        gen == 0 ? path : path + "." + std::to_string(gen);
-    std::ifstream in(file);
-    if (!in.is_open()) continue;
-    ++local.files;
-    std::string line;
-    size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty()) continue;
-      Result<obs::JsonValue> parsed = obs::ParseJson(line);
-      if (!parsed.ok()) {
-        ++local.malformed;
-        local.errors.push_back(file + ":" + std::to_string(lineno) + ": " +
-                               parsed.status().message());
-        continue;
-      }
-      Result<AccessLogRecord> rec = RecordFromJsonValue(*parsed);
-      if (!rec.ok()) {
-        ++local.malformed;
-        local.errors.push_back(file + ":" + std::to_string(lineno) + ": " +
-                               rec.status().message());
-        continue;
-      }
-      ++local.records;
-      out.push_back(std::move(rec).ValueOrDie());
+  obs::LoadRotatedJsonl(
+      path,
+      [&](const obs::JsonValue& line, const std::string& /*where*/) -> Status {
+        Result<AccessLogRecord> rec = RecordFromJsonValue(line);
+        if (!rec.ok()) return rec.status();
+        ++local.records;
+        out.push_back(std::move(rec).ValueOrDie());
+        return Status::OK();
+      },
+      &local);
+  if (report != nullptr) *report = std::move(local);
+  return out;
+}
+
+namespace {
+
+/// Requests listed in the report's slowest section.
+constexpr size_t kSlowestShown = 5;
+/// Missing query ids listed in the journal-join section.
+constexpr size_t kMissingShown = 5;
+
+std::string PhaseLatencySection(const std::vector<AccessLogRecord>& records) {
+  std::string out = "phase latency (ms):\n";
+  for (size_t cls = 0; cls < kBoundClasses; ++cls) {
+    std::vector<double> queue_wait, exec, e2e;
+    for (const AccessLogRecord& rec : records) {
+      if (static_cast<size_t>(rec.bound_class) != cls) continue;
+      queue_wait.push_back(rec.queue_wait_ms);
+      exec.push_back(rec.exec_ms);
+      e2e.push_back(rec.e2e_ms);
+    }
+    if (e2e.empty()) continue;
+    out += StrFormat("  %s n=%zu", BoundClassName(static_cast<BoundClass>(cls)),
+                     e2e.size());
+    for (auto [name, values] : {std::pair{"queue_wait", &queue_wait},
+                                std::pair{"exec", &exec},
+                                std::pair{"e2e", &e2e}}) {
+      std::sort(values->begin(), values->end());
+      out += StrFormat(
+          "  %s p50=%s p99=%s", name,
+          obs::JsonNumber(obs::NearestRankPercentile(*values, 0.50)).c_str(),
+          obs::JsonNumber(obs::NearestRankPercentile(*values, 0.99)).c_str());
+    }
+    out += "\n";
+  }
+  if (records.empty()) out += "  (none)\n";
+  return out;
+}
+
+std::string SlowestSection(const std::vector<AccessLogRecord>& records) {
+  std::vector<const AccessLogRecord*> ranked;
+  for (const AccessLogRecord& rec : records) ranked.push_back(&rec);
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const AccessLogRecord* a, const AccessLogRecord* b) {
+                     return a->e2e_ms > b->e2e_ms;
+                   });
+  if (ranked.size() > kSlowestShown) ranked.resize(kSlowestShown);
+  std::string out =
+      StrFormat("slowest requests (top %zu by e2e):\n", kSlowestShown);
+  if (ranked.empty()) out += "  (none)\n";
+  for (const AccessLogRecord* rec : ranked) {
+    out += StrFormat(
+        "  %s %s %s e2e=%sms queue_wait=%sms exec=%sms fetches=%llu",
+        rec->query_id.c_str(), BoundClassName(rec->bound_class),
+        AdmitActionName(rec->action), obs::JsonNumber(rec->e2e_ms).c_str(),
+        obs::JsonNumber(rec->queue_wait_ms).c_str(),
+        obs::JsonNumber(rec->exec_ms).c_str(),
+        static_cast<unsigned long long>(rec->fetches));
+    if (!rec->client_tag.empty()) out += " tag=" + rec->client_tag;
+    out += "\n";
+  }
+  return out;
+}
+
+/// Admission's safety margin in practice: how far under its static
+/// Theorem 4.2 bound admitted work actually ran.
+std::string SlackSection(const std::vector<AccessLogRecord>& records) {
+  std::vector<double> ratios;
+  for (const AccessLogRecord& rec : records) {
+    const bool ran = rec.action == AdmitAction::kAdmit ||
+                     rec.action == AdmitAction::kDegrade;
+    if (ran && rec.static_bound > 0) {
+      ratios.push_back(static_cast<double>(rec.fetches) / rec.static_bound);
     }
   }
-  if (report != nullptr) *report = std::move(local);
+  std::string out =
+      "bound slack (fetches / static bound, admitted+degraded):\n";
+  if (ratios.empty()) return out + "  (none)\n";
+  std::sort(ratios.begin(), ratios.end());
+  double sum = 0;
+  for (double r : ratios) sum += r;
+  return out + StrFormat("  n=%zu mean=%.4f p50=%.4f max=%.4f\n",
+                         ratios.size(),
+                         sum / static_cast<double>(ratios.size()),
+                         obs::NearestRankPercentile(ratios, 0.50),
+                         ratios.back());
+}
+
+/// Per-client-tag request counts, (count desc, tag asc); empty when no
+/// request was tagged.
+std::string TagsSection(const std::vector<AccessLogRecord>& records) {
+  std::map<std::string, uint64_t> by_tag;
+  for (const AccessLogRecord& rec : records) {
+    if (!rec.client_tag.empty()) ++by_tag[rec.client_tag];
+  }
+  if (by_tag.empty()) return "";
+  std::vector<std::pair<std::string, uint64_t>> ranked(by_tag.begin(),
+                                                       by_tag.end());
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second > b.second;
+                   });
+  std::string out = "client tags:\n";
+  for (const auto& [tag, count] : ranked) {
+    out += StrFormat("  %s n=%llu\n", tag.c_str(),
+                     static_cast<unsigned long long>(count));
+  }
+  return out + "\n";
+}
+
+/// Joins every access-log record to its journal certificate by query_id.
+/// Both channels observed the same run, so the sealed fetch count and the
+/// observational one must agree (refusals journal 0 fetches).
+std::string JournalJoinSection(const std::vector<AccessLogRecord>& records,
+                               const std::string& journal_path) {
+  Result<std::vector<obs::JournalEntry>> entries =
+      obs::JournalStore(journal_path).Load();
+  std::unordered_map<std::string, const obs::JournalEntry*> by_qid;
+  if (entries.ok()) {
+    for (const obs::JournalEntry& e : *entries) by_qid[e.cert.query_id] = &e;
+  }
+  size_t joined = 0, sealed = 0, tampered = 0, fetch_mismatches = 0;
+  std::vector<std::string> missing;
+  for (const AccessLogRecord& rec : records) {
+    auto it = by_qid.find(rec.query_id);
+    if (it == by_qid.end()) {
+      missing.push_back(rec.query_id);
+      continue;
+    }
+    ++joined;
+    ++(it->second->seal_ok ? sealed : tampered);
+    if (it->second->cert.actual_fetches != rec.fetches) ++fetch_mismatches;
+  }
+  std::string out = "journal join (" + journal_path + "):\n";
+  out += StrFormat(
+      "  joined=%zu (sealed=%zu, tampered=%zu)  missing=%zu  "
+      "fetch_mismatches=%zu\n",
+      joined, sealed, tampered, missing.size(), fetch_mismatches);
+  for (size_t i = 0; i < missing.size() && i < kMissingShown; ++i) {
+    out += "  missing from journal: " + missing[i] + "\n";
+  }
+  if (missing.size() > kMissingShown) {
+    out += StrFormat("  ... and %zu more\n", missing.size() - kMissingShown);
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<std::string> RenderServeReport(const std::string& access_log_path,
+                                      const std::string& journal_path) {
+  AccessLogLoadReport load;
+  SI_ASSIGN_OR_RETURN(std::vector<AccessLogRecord> records,
+                      LoadAccessLogRecords(access_log_path, &load));
+  if (load.files == 0) {
+    return Status::NotFound("no access log at '" + access_log_path +
+                            "' (nor rotated generations)");
+  }
+  ClassTallies tallies;
+  for (const AccessLogRecord& rec : records) {
+    tallies.Count(rec.bound_class, rec.action, rec.reject);
+  }
+  std::string out = "serve report: " + access_log_path + "\n";
+  out += StrFormat("files: %zu  records: %zu (%zu malformed)\n\n",
+                   load.files, load.records, load.malformed);
+  out += tallies.Render() + "\n";
+  out += PhaseLatencySection(records) + "\n";
+  out += SlowestSection(records) + "\n";
+  out += SlackSection(records) + "\n";
+  out += TagsSection(records);
+  if (!journal_path.empty()) out += JournalJoinSection(records, journal_path);
   return out;
 }
 

@@ -71,18 +71,28 @@ class AccessLog {
 
 /// What a LoadAccessLogRecords pass found — malformed lines are counted and
 /// skipped, never fatal, matching the journal loader's tolerance.
-struct AccessLogLoadReport {
-  size_t files = 0;
+struct AccessLogLoadReport : obs::JsonlLoadReport {
   size_t records = 0;
-  size_t malformed = 0;
-  std::vector<std::string> errors;
 };
 
-/// Replays every surviving generation oldest-first (`path.2`, `path.1`,
-/// `path`), so record order equals append order. A missing file is an empty
-/// log, not an error.
+/// Replays every surviving generation oldest-first through
+/// obs::LoadRotatedJsonl, so record order equals append order. A missing
+/// file is an empty log, not an error.
 Result<std::vector<AccessLogRecord>> LoadAccessLogRecords(
     const std::string& path, AccessLogLoadReport* report = nullptr);
+
+/// The offline serve report — `scalein_served --report <access.jsonl>
+/// [--journal <journal.jsonl>]`. Reads the access log with
+/// LoadAccessLogRecords and renders: the load counts; the `classes` tallies
+/// (folded through ClassTallies, so they match the live command byte for
+/// byte); per-class queue_wait / exec / e2e p50 and p99; the slowest
+/// requests; bound slack (fetches / static bound of admitted and degraded
+/// runs); per-client-tag counts; and, given a journal, the query_id join
+/// against JournalStore::Load, where a certificate counts as sealed only if
+/// obs::VerifyCertificate accepts it and its fetch count must match the
+/// access log's. NotFound when no generation of the access log exists.
+Result<std::string> RenderServeReport(const std::string& access_log_path,
+                                      const std::string& journal_path = "");
 
 /// Name→enum parsers for the log's stable strings; return false on an
 /// unknown name (the loader counts the line malformed).

@@ -63,6 +63,68 @@ const char* BoundClassName(BoundClass c) {
   return "?";
 }
 
+bool IsShedReason(RejectReason reason) {
+  switch (reason) {
+    case RejectReason::kQueueFull:
+    case RejectReason::kQueueClassFull:
+    case RejectReason::kQueueTimeout:
+    case RejectReason::kDraining:
+      return true;
+    case RejectReason::kNone:
+    case RejectReason::kNoStaticBound:
+    case RejectReason::kBudgetExhausted:
+      return false;
+  }
+  return false;
+}
+
+void ClassTallies::Count(BoundClass cls, AdmitAction action,
+                         RejectReason reject) {
+  Tally& tally = by_class_[static_cast<size_t>(cls)];
+  ++tally.total;
+  switch (action) {
+    case AdmitAction::kAdmit:
+      ++tally.admitted;
+      break;
+    case AdmitAction::kDegrade:
+      ++tally.degraded;
+      break;
+    case AdmitAction::kReject:
+      if (IsShedReason(reject)) {
+        ++tally.shed;
+      } else {
+        ++tally.rejected;
+      }
+      break;
+    case AdmitAction::kQueue:
+      break;
+  }
+}
+
+std::string ClassTallies::Render() const {
+  uint64_t total = 0;
+  for (const Tally& tally : by_class_) total += tally.total;
+  std::string out = StrFormat("classes: %llu request(s)\n",
+                              static_cast<unsigned long long>(total));
+  for (size_t i = 0; i < kBoundClasses; ++i) {
+    const Tally& c = by_class_[i];
+    const double shed_rate =
+        c.total > 0 ? static_cast<double>(c.shed) /
+                          static_cast<double>(c.total)
+                    : 0.0;
+    out += StrFormat(
+        "  %s n=%llu admitted=%llu degraded=%llu rejected=%llu shed=%llu "
+        "shed_rate=%.4f\n",
+        BoundClassName(static_cast<BoundClass>(i)),
+        static_cast<unsigned long long>(c.total),
+        static_cast<unsigned long long>(c.admitted),
+        static_cast<unsigned long long>(c.degraded),
+        static_cast<unsigned long long>(c.rejected),
+        static_cast<unsigned long long>(c.shed), shed_rate);
+  }
+  return out;
+}
+
 namespace {
 
 uint64_t EnvU64(const char* name, uint64_t fallback) {

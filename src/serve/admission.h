@@ -48,6 +48,39 @@ constexpr size_t kBoundClasses = 4;
 BoundClass ClassifyBound(double static_bound);
 const char* BoundClassName(BoundClass c);
 
+/// Refusals split into overload sheds (queue-full, queue-class-full,
+/// queue-timeout, draining: retrying later can succeed) and contract
+/// rejections (the query itself cannot be served under the SLA).
+bool IsShedReason(RejectReason reason);
+
+/// Per-BoundClass tallies of terminal admission outcomes: what the `classes`
+/// command renders. Server counts requests live; the offline serve report
+/// (RenderServeReport) folds access-log records through the same class, so
+/// online and offline views cannot drift. `shed` counts overload refusals,
+/// `rejected` the contract ones. Not thread-safe; Server counts under its
+/// mutex.
+class ClassTallies {
+ public:
+  /// Counts one request's terminal outcome. kQueue is not terminal (a
+  /// queued request resolves to admit or a shed), so it bumps only `n`.
+  void Count(BoundClass cls, AdmitAction action, RejectReason reject);
+
+  /// "classes: N request(s)" plus one line per BoundClass, all four always,
+  /// so the rendering is positional. No wall-clock content: tallies are
+  /// deterministic for a fixed arrival script.
+  std::string Render() const;
+
+ private:
+  struct Tally {
+    uint64_t total = 0;
+    uint64_t admitted = 0;
+    uint64_t degraded = 0;
+    uint64_t rejected = 0;
+    uint64_t shed = 0;
+  };
+  Tally by_class_[kBoundClasses];
+};
+
 /// The server's SLA contract, normally parsed from SCALEIN_SLA_* environment
 /// variables (see FromEnv). Zero means "disabled/unlimited" for budgets and
 /// deadlines, mirroring exec::GovernorLimits.

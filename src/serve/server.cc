@@ -36,24 +36,6 @@ bool ValidTraceTag(std::string_view tag) {
   return true;
 }
 
-/// Refusals split into overload sheds (retrying later can succeed) and
-/// contract rejections (the query itself cannot be served under the SLA);
-/// the per-class tallies and serve.shed.<class> counters keep them apart.
-bool IsShedReason(RejectReason reason) {
-  switch (reason) {
-    case RejectReason::kQueueFull:
-    case RejectReason::kQueueClassFull:
-    case RejectReason::kQueueTimeout:
-    case RejectReason::kDraining:
-      return true;
-    case RejectReason::kNone:
-    case RejectReason::kNoStaticBound:
-    case RejectReason::kBudgetExhausted:
-      return false;
-  }
-  return false;
-}
-
 /// Elapsed milliseconds between two monotonic stamps; 0 when the phase
 /// never happened (either stamp unset) or the clock did not advance.
 double PhaseMs(uint64_t start_ns, uint64_t end_ns) {
@@ -226,27 +208,9 @@ std::string Server::EmitLifecycle(const ServePlan& plan,
 
   // One terminal tally per request — the intermediate kQueue decision is
   // *not* terminal, so a queued-then-admitted request counts once as admit.
+  class_tallies_.Count(cls, decision.action, decision.reject);
   const bool shed =
       decision.action == AdmitAction::kReject && IsShedReason(decision.reject);
-  ClassTally& tally = class_tallies_[static_cast<size_t>(cls)];
-  ++tally.total;
-  switch (decision.action) {
-    case AdmitAction::kAdmit:
-      ++tally.admitted;
-      break;
-    case AdmitAction::kDegrade:
-      ++tally.degraded;
-      break;
-    case AdmitAction::kReject:
-      if (shed) {
-        ++tally.shed;
-      } else {
-        ++tally.rejected;
-      }
-      break;
-    case AdmitAction::kQueue:
-      break;  // unreachable: queue resolves to a terminal action above
-  }
 
   // Per-class SLO histograms — the series the scrape endpoint exposes as
   // serve_queue_wait_ms_<class>_bucket etc.
@@ -336,31 +300,7 @@ std::string Server::EmitLifecycle(const ServePlan& plan,
 
 std::string Server::RenderClasses() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const ClassTally& tally : class_tallies_) total += tally.total;
-  std::string out = StrFormat("classes: %llu request(s)\n",
-                              static_cast<unsigned long long>(total));
-  // All four classes always, zero or not, so the rendering is positional
-  // and scripts/serve_report.py can reproduce it byte-for-byte. No
-  // wall-clock content: tallies are deterministic for a fixed arrival
-  // script (modulo queue-timeout races, which scripted mode pins down).
-  for (size_t i = 0; i < kBoundClasses; ++i) {
-    const ClassTally& c = class_tallies_[i];
-    const double shed_rate =
-        c.total > 0 ? static_cast<double>(c.shed) /
-                          static_cast<double>(c.total)
-                    : 0.0;
-    out += StrFormat(
-        "  %s n=%llu admitted=%llu degraded=%llu rejected=%llu shed=%llu "
-        "shed_rate=%.4f\n",
-        BoundClassName(static_cast<BoundClass>(i)),
-        static_cast<unsigned long long>(c.total),
-        static_cast<unsigned long long>(c.admitted),
-        static_cast<unsigned long long>(c.degraded),
-        static_cast<unsigned long long>(c.rejected),
-        static_cast<unsigned long long>(c.shed), shed_rate);
-  }
-  return out;
+  return class_tallies_.Render();
 }
 
 Result<std::string> Server::Submit(const std::string& sid,

@@ -88,9 +88,10 @@ class Server {
   /// errors (parse failures, injected faults) surface as a Status.
   Result<std::string> Submit(const std::string& sid, std::string_view rest);
 
-  /// The per-class admission tallies the `classes` command renders — one
-  /// line per BoundClass, wall-clock-free, byte-identical to what
-  /// scripts/serve_report.py recomputes from the access log.
+  /// The per-class admission tallies the `classes` command renders
+  /// (ClassTallies::Render) — the same renderer the offline report
+  /// (`scalein_served --report`, RenderServeReport) folds access-log
+  /// records through.
   std::string RenderClasses() const;
 
   /// Graceful shutdown: refuse new work, preempt every session's in-flight
@@ -127,17 +128,6 @@ class Server {
     uint64_t exec_start_ns = 0;
     uint64_t exec_done_ns = 0;
     uint64_t done_ns = 0;
-  };
-
-  /// Per-BoundClass admission tallies behind the `classes` command. `shed`
-  /// counts overload refusals (queue-timeout/full/class-full/draining);
-  /// `rejected` the contract ones (no bound, budget).
-  struct ClassTally {
-    uint64_t total = 0;
-    uint64_t admitted = 0;
-    uint64_t degraded = 0;
-    uint64_t rejected = 0;
-    uint64_t shed = 0;
   };
 
   /// Seals + journals a refused query's verdict certificate. Caller holds
@@ -177,7 +167,7 @@ class Server {
   std::map<std::string, std::shared_ptr<SessionEnvelope>> sessions_;
   std::deque<QueueTicket> queue_;
   size_t queued_by_class_[kBoundClasses] = {0, 0, 0, 0};
-  ClassTally class_tallies_[kBoundClasses];
+  ClassTallies class_tallies_;  ///< behind the `classes` command
   uint64_t next_ticket_ = 1;
   size_t running_ = 0;
   size_t synthetic_running_ = 0;  ///< scripted-mode #busy directive

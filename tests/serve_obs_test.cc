@@ -3,8 +3,8 @@
 // correlation contract (one QueryId joining the access-log line, the sealed
 // journal certificate, the serve-phase flight event, and the retroactive
 // trace spans), client trace tags (hello/eval grammar, echo, validation),
-// the per-class `classes` rendering, and the /metrics + /healthz scrape
-// endpoint.
+// the per-class `classes` rendering, the offline serve report's journal
+// join, and the /metrics + /healthz scrape endpoint.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "io/shell.h"
 #include "obs/correlation.h"
 #include "obs/flight_recorder.h"
+#include "obs/journal.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -382,8 +383,9 @@ TEST(ServeObsTest, ClassesCommandSplitsShedFromRejected) {
   std::string shed = MustLine(&server, "a", kFriendEval);  // small, shed
   EXPECT_NE(shed.find("reject(draining)"), std::string::npos) << shed;
 
-  // Positional, wall-clock-free, byte-for-byte — the exact rendering
-  // scripts/serve_report.py recomputes from the access log.
+  // Positional, wall-clock-free, byte-for-byte — ClassTallies::Render, the
+  // one renderer the offline report (`scalein_served --report`) also folds
+  // access-log records through.
   EXPECT_EQ(MustLine(&server, "a", "classes"),
             "classes: 3 request(s)\n"
             "  small n=2 admitted=1 degraded=0 rejected=0 shed=1 "
@@ -394,6 +396,52 @@ TEST(ServeObsTest, ClassesCommandSplitsShedFromRejected) {
             "shed_rate=0.0000\n"
             "  huge n=1 admitted=0 degraded=0 rejected=1 shed=0 "
             "shed_rate=0.0000\n");
+}
+
+// ---------------------------------------------------------------------------
+// The offline serve report's journal join.
+
+TEST(ServeReportTest, ForgedVerdictWithRecomputedSealCountsAsTampered) {
+  const std::string apath = TempPath("serve_obs_report_access.jsonl");
+  const std::string jpath = TempPath("serve_obs_report_journal.jsonl");
+  RemoveGenerations(apath);
+  RemoveGenerations(jpath);
+
+  AccessLogRecord rec;
+  rec.query_id = "forged-1";
+  rec.session_id = "s";
+  rec.bound_class = BoundClass::kSmall;
+  rec.action = AdmitAction::kAdmit;
+  rec.static_bound = 10;
+  rec.fetches = 50;
+  ASSERT_TRUE(AccessLog(apath).Append(rec).ok());
+
+  // 50 fetches against a bound of 10, labelled within-bound, with the
+  // FNV-1a recomputed over the edited payload: the hash matches, so only the
+  // verdict re-derivation can catch the forgery.
+  obs::AccessCertificate cert;
+  cert.query_fingerprint = "fp";
+  cert.query_id = "forged-1";
+  cert.query_text = "Q(x) := R(x)";
+  cert.static_bound = 10;
+  cert.actual_fetches = 50;
+  cert.verdict = obs::CertVerdict::kWithinBound;
+  cert.signature = obs::Fnv1a64(obs::CertificatePayload(cert));
+  EXPECT_FALSE(obs::VerifyCertificate(cert));
+  ASSERT_TRUE(obs::JournalStore(jpath).Append(cert, -1.0, false).ok());
+
+  Result<std::string> report = RenderServeReport(apath, jpath);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("joined=1 (sealed=0, tampered=1)  missing=0  "
+                         "fetch_mismatches=0"),
+            std::string::npos)
+      << *report;
+
+  // No generation of the access log at all: nothing to report.
+  RemoveGenerations(apath);
+  EXPECT_EQ(RenderServeReport(apath, jpath).status().code(),
+            StatusCode::kNotFound);
+  RemoveGenerations(jpath);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 # Offline serve-report smoke, run via `cmake -P` from ctest: a scripted
 # scalein_served session writes a structured access log plus the certificate
-# journal, renders its own per-class tallies with the `classes` command, and
-# then scripts/serve_report.py re-derives the same tallies offline from the
-# access log. The per-class lines must match the shell's byte for byte —
-# that is the report's contract (render_classes mirrors
-# Server::RenderClasses). Variables passed in by tests/CMakeLists.txt:
+# journal and renders its live per-class tallies with the `classes` command;
+# then `scalein_served --report` folds the access log offline through the
+# same tallies (serve::ClassTallies) and must reproduce those lines, join
+# every record to a sealed, fetch-consistent certificate, and exit 2 on a
+# missing log. Variables passed in by tests/CMakeLists.txt:
 #   SERVED_BIN — path to the scalein_served example binary
-#   PYTHON     — python3 interpreter
-#   REPORT     — path to scripts/serve_report.py
 #   WORK_DIR   — scratch directory for catalog/script/log files
 
 set(catalog "${WORK_DIR}/serve_report_catalog.txt")
@@ -85,18 +83,18 @@ if(NOT class_line_count EQUAL 4)
 endif()
 
 execute_process(
-  COMMAND "${PYTHON}" "${REPORT}" "${access_log}" --journal "${journal}"
+  COMMAND "${SERVED_BIN}" --report "${access_log}" --journal "${journal}"
   RESULT_VARIABLE report_rc
   OUTPUT_VARIABLE report_out
   ERROR_VARIABLE report_err)
 if(NOT report_rc EQUAL 0)
   message(FATAL_ERROR
-          "serve_report.py failed (rc=${report_rc}): "
+          "scalein_served --report failed (rc=${report_rc}): "
           "${report_out}\n${report_err}")
 endif()
 
-# The offline report must reproduce the shell's per-class lines verbatim —
-# header and all four rows, byte for byte.
+# The offline fold of the access log must reproduce the live per-class
+# lines verbatim — header and all four rows, byte for byte.
 foreach(needle "${classes_header}" ${class_lines})
   string(FIND "${report_out}" "${needle}" pos)
   if(pos EQUAL -1)
@@ -128,4 +126,14 @@ foreach(needle
             "serve report is missing '${needle}':\n${report_out}")
   endif()
 endforeach()
+
+# No generation of the access log: nothing to report, exit 2.
+execute_process(
+  COMMAND "${SERVED_BIN}" --report "${WORK_DIR}/serve_report_nothere.jsonl"
+  RESULT_VARIABLE missing_rc
+  OUTPUT_QUIET ERROR_QUIET)
+if(NOT missing_rc EQUAL 2)
+  message(FATAL_ERROR
+          "--report on a missing access log exited ${missing_rc}, want 2")
+endif()
 message(STATUS "serve report smoke OK")

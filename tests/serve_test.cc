@@ -529,13 +529,21 @@ TEST(PortTest, AcceptFailpointDropsConnectionNotServer) {
   LoadCatalog(&shell);
   Server server(&shell, Server::Options{});
   ASSERT_TRUE(server.Start().ok());
+  // Armed before Listen starts the accept thread and cleared only after the
+  // port joins it (the guard outlives `port`), so Configure/Clear never
+  // overlap a hit (failpoint.h). Every second hit fires and the first is
+  // taken here: the first connection faults, the next one is served.
+  struct FailpointGuard {
+    ~FailpointGuard() { util::Failpoints::Global().Clear(); }
+  } guard;
+  util::Failpoints& failpoints = util::Failpoints::Global();
+  ASSERT_TRUE(failpoints.Configure("serve_accept=error(every:2)").ok());
+  ASSERT_TRUE(failpoints.Hit("serve_accept").ok());
   Port port(&server, Port::Options{});
   Status listening = port.Listen();
   if (!listening.ok()) {
     GTEST_SKIP() << "cannot bind loopback: " << listening.ToString();
   }
-  ASSERT_TRUE(
-      util::Failpoints::Global().Configure("serve_accept=error").ok());
   auto dial = [&port]() {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
@@ -554,7 +562,6 @@ TEST(PortTest, AcceptFailpointDropsConnectionNotServer) {
     return n == 0;
   };
   EXPECT_TRUE(dial());  // faulted connection dropped gracefully
-  util::Failpoints::Global().Clear();
   // Blast radius: the server keeps serving fresh connections afterwards.
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
