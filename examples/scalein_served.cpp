@@ -73,6 +73,14 @@ int Fail(const char* what, const scalein::Status& status) {
   return 1;
 }
 
+/// The port number in env var `name`'s value `text`: decimal, 0-65535.
+scalein::Result<uint16_t> ParsePort(const char* name, const char* text) {
+  const scalein::Result<uint64_t> port = scalein::ParseU64(text);
+  if (port.ok() && *port <= 65535) return static_cast<uint16_t>(*port);
+  return scalein::Status::InvalidArgument(
+      std::string(name) + "='" + text + "' is not a port number (0-65535)");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,7 +167,9 @@ int main(int argc, char** argv) {
   scalein::serve::Port::Options port_options;
   if (const char* p = std::getenv("SCALEIN_SERVE_PORT");
       p != nullptr && p[0] != '\0') {
-    port_options.port = static_cast<uint16_t>(std::atoi(p));
+    const scalein::Result<uint16_t> parsed = ParsePort("SCALEIN_SERVE_PORT", p);
+    if (!parsed.ok()) return Fail("listen", parsed.status());
+    port_options.port = *parsed;
   }
   scalein::serve::Port port(&server, port_options);
   if (scalein::Status s = port.Listen(); !s.ok()) return Fail("listen", s);
@@ -170,8 +180,11 @@ int main(int argc, char** argv) {
   std::unique_ptr<scalein::serve::MetricsHttp> metrics_http;
   if (const char* mp = std::getenv("SCALEIN_METRICS_PORT");
       mp != nullptr && mp[0] != '\0') {
+    const scalein::Result<uint16_t> parsed =
+        ParsePort("SCALEIN_METRICS_PORT", mp);
+    if (!parsed.ok()) return Fail("metrics listen", parsed.status());
     scalein::serve::MetricsHttp::Options http_options;
-    http_options.port = static_cast<uint16_t>(std::atoi(mp));
+    http_options.port = *parsed;
     metrics_http = std::make_unique<scalein::serve::MetricsHttp>(
         server.shell_metrics(), [&server] { return server.draining(); },
         http_options);

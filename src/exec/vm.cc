@@ -21,12 +21,6 @@ namespace {
 /// morsel splits never change observables (exec/governed_parallel.h).
 constexpr size_t kParallelFrontierThreshold = 16;
 
-#if defined(__GNUC__) || defined(__clang__)
-#define SCALEIN_VM_COMPUTED_GOTO 1
-#else
-#define SCALEIN_VM_COMPUTED_GOTO 0
-#endif
-
 /// Per-evaluation immutable view of a program: relation pointers resolved
 /// once, the op table registered once (table index == prototype index).
 struct Shared {
@@ -76,13 +70,12 @@ struct LaneScratch {
   }
 };
 
-/// Runs a leaf's per-position unify steps against a fetched row. The
-/// computed-goto variant keeps the dispatch in one indirect branch per
-/// position; the switch fallback is semantically identical.
+/// Runs a leaf's per-position unify steps against a fetched row. Dispatch is
+/// one indirect branch per position through a computed goto (a GCC/Clang
+/// extension; the build supports only those two compilers).
 bool UnifyLocal(const std::vector<UnifyStep>& steps,
                 const std::vector<Value>& consts, const Value* row,
                 TupleView r, Value* locals) {
-#if SCALEIN_VM_COMPUTED_GOTO
   static const void* kJump[] = {&&lCheckConst, &&lCheckReg, &&lBindLocal,
                                 &&lCheckLocal, &&lSkip,     &&lBindReg};
   const size_t n = steps.size();
@@ -112,31 +105,6 @@ lBindReg:
   SI_CHECK_MSG(false, "embedded unify step in a plain leaf");
   return false;
 #undef SCALEIN_VM_NEXT
-#else
-  for (size_t p = 0; p < steps.size(); ++p) {
-    const UnifyStep& s = steps[p];
-    switch (s.kind) {
-      case UnifyStep::Kind::kCheckConst:
-        if (!(consts[s.index] == r[p])) return false;
-        break;
-      case UnifyStep::Kind::kCheckReg:
-        if (!(row[s.reg] == r[p])) return false;
-        break;
-      case UnifyStep::Kind::kBindLocal:
-        locals[s.index] = r[p];
-        break;
-      case UnifyStep::Kind::kCheckLocal:
-        if (!(locals[s.index] == r[p])) return false;
-        break;
-      case UnifyStep::Kind::kSkip:
-        break;
-      case UnifyStep::Kind::kBindReg:
-        SI_CHECK_MSG(false, "embedded unify step in a plain leaf");
-        break;
-    }
-  }
-  return true;
-#endif
 }
 
 /// Sorts `buf`'s w-wide chunks lexicographically and drops duplicates —

@@ -1,6 +1,7 @@
 #include "io/catalog.h"
 
 #include <cctype>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -61,9 +62,14 @@ Status ParseBoundOptions(const std::vector<std::string>& tokens, size_t start,
   for (size_t i = start; i < tokens.size(); ++i) {
     const std::string& tok = tokens[i];
     if (StartsWith(tok, "N=")) {
-      *n = static_cast<uint64_t>(std::stoull(tok.substr(2)));
+      SI_ASSIGN_OR_RETURN(*n, ParseU64(std::string_view(tok).substr(2)));
     } else if (StartsWith(tok, "T=")) {
-      *t = std::stod(tok.substr(2));
+      const char* text = tok.c_str() + 2;
+      char* end = nullptr;
+      *t = std::strtod(text, &end);
+      if (end == text || *end != '\0') {
+        return Status::InvalidArgument("expected a number in '" + tok + "'");
+      }
     } else {
       return Status::InvalidArgument("unknown option '" + tok + "'");
     }

@@ -33,20 +33,6 @@ Result<Binding> ParseShellBinding(std::string_view text) {
   return out;
 }
 
-/// Parses a decimal uint64 ("fetch=100" right-hand sides).
-Result<uint64_t> ParseShellU64(std::string_view text) {
-  if (text.empty()) return Status::InvalidArgument("expected a number");
-  uint64_t out = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("expected a number, got '" +
-                                     std::string(text) + "'");
-    }
-    out = out * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return out;
-}
-
 /// One line per collected span: name, duration, and its key=value args (arg
 /// values are pre-rendered JSON fragments; printed as-is). The explain
 /// renderer for `explain qdsi` / `explain analyze`.
@@ -84,8 +70,8 @@ Shell::Shell() {
       jpath != nullptr && jpath[0] != '\0') {
     uint64_t max_bytes = obs::JournalStore::kDefaultMaxBytes;
     if (const char* mb = std::getenv("SCALEIN_JOURNAL_MAX_BYTES");
-        mb != nullptr && mb[0] != '\0') {
-      if (Result<uint64_t> parsed = ParseShellU64(mb);
+        mb != nullptr) {
+      if (Result<uint64_t> parsed = ParseU64(mb);
           parsed.ok() && *parsed > 0) {
         max_bytes = *parsed;
       }
@@ -117,9 +103,8 @@ Shell::Shell() {
       (void)dumper_->Start(std::move(path), secs, metrics_.get());
     }
   }
-  if (const char* ms = std::getenv("SCALEIN_SLOW_QUERY_MS");
-      ms != nullptr && ms[0] != '\0') {
-    Result<uint64_t> parsed = ParseShellU64(ms);
+  if (const char* ms = std::getenv("SCALEIN_SLOW_QUERY_MS"); ms != nullptr) {
+    Result<uint64_t> parsed = ParseU64(ms);
     if (parsed.ok()) {
       metrics_->GetGauge("shell.slow_query_threshold_ms")
           .Set(static_cast<int64_t>(*parsed));
@@ -607,7 +592,7 @@ Result<std::string> Shell::RunQdsi(std::string_view rest, bool explain) {
   if (sp == std::string_view::npos) {
     return Status::InvalidArgument("usage: qdsi <M> <cq-rule>");
   }
-  SI_ASSIGN_OR_RETURN(uint64_t m, ParseShellU64(rest.substr(0, sp)));
+  SI_ASSIGN_OR_RETURN(uint64_t m, ParseU64(rest.substr(0, sp)));
   SI_ASSIGN_OR_RETURN(Cq q, ParseCq(rest.substr(sp + 1), &schema_));
   if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
   QdsiOptions options;
@@ -754,13 +739,22 @@ Result<std::string> Shell::RunCertify(std::string_view rest) const {
   } else {
     // Offline mode: re-verify certificates out of a previously written dump
     // (the `dump` command's JSON, a bare journal object, or a bare array) or
-    // a JSONL journal file written by the persistent JournalStore.
+    // a JSONL journal written by the persistent JournalStore, every rotated
+    // generation oldest-first.
     SI_ASSIGN_OR_RETURN(std::string json, ReadFileToString(path));
     Result<std::vector<obs::AccessCertificate>> parsed =
         obs::CertificatesFromDumpJson(json);
-    if (!parsed.ok()) parsed = obs::CertificatesFromJsonl(json);
-    SI_RETURN_IF_ERROR(parsed.status());
-    certs = std::move(parsed).ValueOrDie();
+    if (parsed.ok()) {
+      certs = std::move(parsed).ValueOrDie();
+    } else {
+      SI_ASSIGN_OR_RETURN(std::vector<obs::JournalEntry> entries,
+                          obs::JournalStore(path).Load());
+      if (entries.empty()) {
+        return Status::InvalidArgument(
+            "no certificate line parses as a journal entry");
+      }
+      for (obs::JournalEntry& e : entries) certs.push_back(std::move(e.cert));
+    }
   }
   if (certs.empty()) return std::string("no certificates to verify\n");
   std::string out;
@@ -793,7 +787,7 @@ Result<std::string> Shell::RunThreads(std::string_view rest) {
   const std::string arg(StripWhitespace(rest));
   const bool resized = !arg.empty();
   if (resized) {
-    SI_ASSIGN_OR_RETURN(uint64_t n, ParseShellU64(arg));
+    SI_ASSIGN_OR_RETURN(uint64_t n, ParseU64(arg));
     if (n < 1) n = 1;
     if (n > 64) n = 64;
     pool.Resize(static_cast<size_t>(n));
@@ -849,7 +843,7 @@ Result<std::string> Shell::RunWorkload(std::string_view rest) const {
   }
   if (args.substr(0, 4) == "top ") {
     SI_ASSIGN_OR_RETURN(uint64_t k,
-                        ParseShellU64(StripWhitespace(args.substr(4))));
+                        ParseU64(StripWhitespace(args.substr(4))));
     return workload_->RenderTop(static_cast<size_t>(k));
   }
   if (args.substr(0, 12) == "fingerprint ") {
@@ -873,7 +867,7 @@ Result<std::string> Shell::RunSlowlog(std::string_view rest) {
     gauge.Set(0);
     return std::string("slow-query log off\n");
   }
-  SI_ASSIGN_OR_RETURN(uint64_t ms, ParseShellU64(rest));
+  SI_ASSIGN_OR_RETURN(uint64_t ms, ParseU64(rest));
   gauge.Set(static_cast<int64_t>(ms));
   return StrFormat("slow-query threshold: %llu ms\n",
                    static_cast<unsigned long long>(ms));
@@ -912,7 +906,7 @@ Result<std::string> Shell::RunLimit(std::string_view rest) {
           "usage: limit [fetch=N] [deadline=MS] [rows=N] | limit off");
     }
     std::string_view key = p.substr(0, eq);
-    SI_ASSIGN_OR_RETURN(uint64_t value, ParseShellU64(p.substr(eq + 1)));
+    SI_ASSIGN_OR_RETURN(uint64_t value, ParseU64(p.substr(eq + 1)));
     if (key == "fetch") {
       parsed.fetch_budget = value;
     } else if (key == "deadline") {

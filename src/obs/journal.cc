@@ -197,29 +197,6 @@ Result<std::vector<AccessCertificate>> CertificatesFromDumpJson(
   return out;
 }
 
-Result<std::vector<AccessCertificate>> CertificatesFromJsonl(
-    std::string_view text) {
-  std::vector<AccessCertificate> out;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    Result<JsonValue> parsed = ParseJson(line);
-    if (!parsed.ok()) continue;
-    Result<AccessCertificate> cert = CertificateFromJsonValue(*parsed);
-    if (!cert.ok()) continue;
-    out.push_back(std::move(cert).ValueOrDie());
-  }
-  if (out.empty()) {
-    return Status::InvalidArgument(
-        "no certificate line parses as a journal entry");
-  }
-  return out;
-}
-
 std::string JournalLineJson(const AccessCertificate& cert, double latency_ms,
                             bool noncontrollable,
                             const std::string& client_tag) {

@@ -88,7 +88,8 @@ std::string JournalLineJson(const AccessCertificate& cert, double latency_ms,
 bool CertVerdictFromName(std::string_view name, CertVerdict* out);
 
 /// Reads certificates back out of dumped JSON — the offline side of the
-/// `certify <file>` shell command. Accepts a whole post-mortem dump
+/// `certify <file>` shell command (a JSONL journal goes through
+/// JournalStore::Load instead). Accepts a whole post-mortem dump
 /// (`{"journal": {...}}`), a bare journal object
 /// (`{"certificates": [...]}`), or a bare certificate array. Every numeric
 /// field round-trips exactly (emitters print doubles with the same %.6g the
@@ -96,13 +97,6 @@ bool CertVerdictFromName(std::string_view name, CertVerdict* out);
 /// parsed certificates byte-for-byte.
 Result<std::vector<AccessCertificate>> CertificatesFromDumpJson(
     std::string_view json);
-
-/// Reads certificates out of a JSONL journal file's text (one certificate
-/// object per line, as written by JournalStore) — the other offline side of
-/// `certify <file>`. Unparsable lines are skipped; fails only when no line
-/// yields a certificate.
-Result<std::vector<AccessCertificate>> CertificatesFromJsonl(
-    std::string_view text);
 
 /// One replayed journal line: the sealed certificate plus the non-sealed
 /// sibling fields the store records next to it. Latency is observational

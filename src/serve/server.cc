@@ -73,11 +73,9 @@ Status Server::Start() {
       log_path = path;
     }
     if (const char* mb = std::getenv("SCALEIN_ACCESS_LOG_MAX_BYTES");
-        mb != nullptr && mb[0] != '\0') {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(mb, &end, 10);
-      if (end != nullptr && *end == '\0' && parsed > 0) {
-        log_max_bytes = parsed;
+        mb != nullptr) {
+      if (Result<uint64_t> parsed = ParseU64(mb); parsed.ok() && *parsed > 0) {
+        log_max_bytes = *parsed;
       }
     }
   }

@@ -36,6 +36,24 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
+Result<uint64_t> ParseU64(std::string_view text) {
+  if (text.empty()) return Status::InvalidArgument("expected a number");
+  uint64_t out = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument("expected a number, got '" +
+                                     std::string(text) + "'");
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (out > (UINT64_MAX - digit) / 10) {
+      return Status::InvalidArgument("number out of range: '" +
+                                     std::string(text) + "'");
+    }
+    out = out * 10 + digit;
+  }
+  return out;
+}
+
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

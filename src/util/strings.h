@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace scalein {
 
 /// Joins `parts` with `sep` ("a", "b" -> "a,b").
@@ -20,6 +22,11 @@ std::string_view StripWhitespace(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses `text` as a decimal uint64: one or more ASCII digits, nothing
+/// else (no sign, no whitespace). InvalidArgument when empty, on any other
+/// character, or when the value exceeds 2^64-1.
+Result<uint64_t> ParseU64(std::string_view text);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

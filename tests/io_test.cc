@@ -52,6 +52,11 @@ TEST(IoTest, AccessSchemaValidatedAgainstSchema) {
   EXPECT_FALSE(ParseAccessSchemaText("access ghost(a) N=1\n", *s).ok());
   EXPECT_FALSE(ParseAccessSchemaText("access r(zz) N=1\n", *s).ok());
   EXPECT_FALSE(ParseAccessSchemaText("index r(a)\n", *s).ok());
+  // Malformed numbers are parse errors, not exceptions.
+  EXPECT_FALSE(ParseAccessSchemaText("access r(a) N=abc\n", *s).ok());
+  EXPECT_FALSE(
+      ParseAccessSchemaText("access r(a) N=18446744073709551616\n", *s).ok());
+  EXPECT_FALSE(ParseAccessSchemaText("access r(a) N=1 T=x\n", *s).ok());
 }
 
 TEST(IoTest, CsvValueTyping) {

@@ -324,6 +324,24 @@ TEST(ShellGovernorTest, LimitCommandControlsTheEnvelope) {
   EXPECT_FALSE(shell.Execute("limit fetch=abc").ok());
 }
 
+TEST(ShellGovernorTest, LimitOverflowIsRefusedNotWrapped) {
+  Shell shell;
+  ASSERT_TRUE(shell.Execute("limit fetch=7").ok());
+  // 2^64 and 2^64+1 would wrap to 0 (no limit) and 1: both are refused and
+  // the armed envelope stays as it was.
+  for (const char* line : {"limit fetch=18446744073709551616",
+                           "limit fetch=18446744073709551617"}) {
+    Result<std::string> out = shell.Execute(line);
+    ASSERT_FALSE(out.ok()) << line;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(out.status().message().find("out of range"), std::string::npos);
+  }
+  EXPECT_NE(shell.Execute("limit")->find("fetch=7"), std::string::npos);
+  ASSERT_TRUE(shell.Execute("limit fetch=18446744073709551615").ok());
+  EXPECT_NE(shell.Execute("limit")->find("fetch=18446744073709551615"),
+            std::string::npos);
+}
+
 Shell LoadedShell() {
   Shell shell;
   auto must = [&shell](std::string_view line) {

@@ -8,11 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +18,7 @@
 #include <vector>
 
 #include "io/shell.h"
+#include "loopback_client.h"
 #include "obs/correlation.h"
 #include "obs/flight_recorder.h"
 #include "obs/journal.h"
@@ -32,6 +28,7 @@
 #include "serve/access_log.h"
 #include "serve/metrics_http.h"
 #include "serve/server.h"
+#include "util/failpoint.h"
 
 namespace scalein::serve {
 namespace {
@@ -447,28 +444,6 @@ TEST(ServeReportTest, ForgedVerdictWithRecomputedSealCountsAsTampered) {
 // ---------------------------------------------------------------------------
 // MetricsHttp: the scrape side door.
 
-std::string HttpGet(uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  EXPECT_EQ(::write(fd, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
 TEST(MetricsHttpTest, ServesPrometheusTextAndDrainAwareHealth) {
   obs::MetricsRegistry registry;
   registry.GetCounter("serve.shed.small").Increment(3);
@@ -510,6 +485,28 @@ TEST(MetricsHttpTest, ServesPrometheusTextAndDrainAwareHealth) {
   EXPECT_EQ(http.scrapes(), 4u);
   EXPECT_EQ(registry.GetCounter("serve.scrapes").value(), 4u);
   http.Shutdown();
+}
+
+TEST(MetricsHttpTest, ScrapeFailpointDropsConnectionNotServer) {
+  obs::MetricsRegistry registry;
+  // Armed before Listen and cleared after the endpoint joined its threads
+  // (the guard outlives `http`). Every second hit fires and the first is
+  // taken here: the first scrape faults, the next one is answered.
+  struct FailpointGuard {
+    ~FailpointGuard() { util::Failpoints::Global().Clear(); }
+  } guard;
+  util::Failpoints& failpoints = util::Failpoints::Global();
+  ASSERT_TRUE(failpoints.Configure("serve_http=error(every:2)").ok());
+  ASSERT_TRUE(failpoints.Hit("serve_http").ok());
+  MetricsHttp http(&registry, nullptr, MetricsHttp::Options{});
+  ASSERT_TRUE(http.Listen().ok());
+  EXPECT_EQ(HttpGet(http.port(), "/healthz"), "");
+  EXPECT_EQ(registry.GetCounter("serve.io_faults").value(), 1u);
+  EXPECT_NE(HttpGet(http.port(), "/healthz").find("HTTP/1.0 200 OK"),
+            std::string::npos);
+  http.Shutdown();
+  EXPECT_EQ(http.scrapes(), 1u);
+  EXPECT_EQ(registry.GetCounter("serve.io_faults").value(), 1u);
 }
 
 // The per-class SLO series the server maintains: one histogram observation

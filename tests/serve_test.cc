@@ -2,25 +2,27 @@
 // function, session envelope accounting, the wire framing, and the Server
 // itself — including the determinism contract (byte-identical admission
 // transcripts across thread counts for a fixed arrival script) and the
-// certify round-trip for journaled refusal verdicts.
+// certify round-trip for journaled refusal verdicts — and the TCP port on its
+// loopback listener: failpoint blast radius and connection-thread reaping.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/governor.h"
 #include "io/shell.h"
+#include "loopback_client.h"
 #include "serve/admission.h"
 #include "serve/message.h"
+#include "serve/metrics_http.h"
 #include "serve/port.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -488,30 +490,8 @@ TEST(PortTest, TcpRoundTripThroughFrames) {
   if (!listening.ok()) {
     GTEST_SKIP() << "cannot bind loopback: " << listening.ToString();
   }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string request =
-      std::string("hello\n") + kFriendEval + "\nnonsense\nbye\n";
-  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  FrameDecoder decoder;
-  std::vector<std::pair<bool, std::string>> frames;
-  char buf[4096];
-  while (frames.size() < 4) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
-    bool ok;
-    std::string payload;
-    while (decoder.Next(&ok, &payload)) frames.emplace_back(ok, payload);
-  }
-  ::close(fd);
+  const std::vector<std::pair<bool, std::string>> frames = PortExchange(
+      port.port(), std::string("hello\n") + kFriendEval + "\nnonsense\nbye\n");
   port.Shutdown();
   ASSERT_EQ(frames.size(), 4u);
   EXPECT_TRUE(frames[0].first);  // hello
@@ -524,75 +504,147 @@ TEST(PortTest, TcpRoundTripThroughFrames) {
   EXPECT_EQ(port.accepted(), 1u);
 }
 
-TEST(PortTest, AcceptFailpointDropsConnectionNotServer) {
+/// Disarms every failpoint on scope exit. Declared before the port, so Clear
+/// runs after the port joined the threads that hit the site and
+/// Configure/Clear never overlap a hit (failpoint.h).
+struct FailpointGuard {
+  ~FailpointGuard() { util::Failpoints::Global().Clear(); }
+};
+
+/// The blast-radius contract of a Port failpoint `site`: its first hit in
+/// the first connection fires, so that connection closes unserved and counts
+/// serve.io_faults, and the next connection is served. Every fourth hit
+/// fires and three are taken here, so the served connection's few hits stay
+/// clear of the next fire.
+void ExpectFaultDropsOnlyThatConnection(const char* site,
+                                        uint64_t accepted_after) {
   Shell shell;
   LoadCatalog(&shell);
   Server server(&shell, Server::Options{});
   ASSERT_TRUE(server.Start().ok());
-  // Armed before Listen starts the accept thread and cleared only after the
-  // port joins it (the guard outlives `port`), so Configure/Clear never
-  // overlap a hit (failpoint.h). Every second hit fires and the first is
-  // taken here: the first connection faults, the next one is served.
-  struct FailpointGuard {
-    ~FailpointGuard() { util::Failpoints::Global().Clear(); }
-  } guard;
+  FailpointGuard guard;
   util::Failpoints& failpoints = util::Failpoints::Global();
-  ASSERT_TRUE(failpoints.Configure("serve_accept=error(every:2)").ok());
-  ASSERT_TRUE(failpoints.Hit("serve_accept").ok());
+  ASSERT_TRUE(
+      failpoints.Configure(std::string(site) + "=error(every:4)").ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(failpoints.Hit(site).ok());
   Port port(&server, Port::Options{});
   Status listening = port.Listen();
   if (!listening.ok()) {
     GTEST_SKIP() << "cannot bind loopback: " << listening.ToString();
   }
-  auto dial = [&port]() {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port.port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      ::close(fd);
-      return false;
-    }
-    // The injected accept fault closes us immediately: recv sees EOF.
-    char c;
-    ssize_t n = ::recv(fd, &c, 1, 0);
-    ::close(fd);
-    return n == 0;
-  };
-  EXPECT_TRUE(dial());  // faulted connection dropped gracefully
+  EXPECT_TRUE(PortExchange(port.port(), "hello\nbye\n").empty());
   // Blast radius: the server keeps serving fresh connections afterwards.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string req = "hello\nbye\n";
-  ASSERT_EQ(::send(fd, req.data(), req.size(), 0),
-            static_cast<ssize_t>(req.size()));
-  FrameDecoder decoder;
-  std::vector<std::pair<bool, std::string>> frames;
-  char buf[4096];
-  while (frames.size() < 2) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
-    bool ok;
-    std::string payload;
-    while (decoder.Next(&ok, &payload)) frames.emplace_back(ok, payload);
-  }
-  ::close(fd);
+  const std::vector<std::pair<bool, std::string>> frames =
+      PortExchange(port.port(), "hello\nbye\n");
   port.Shutdown();
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_TRUE(frames[0].first);
   EXPECT_NE(frames[0].second.find("session"), std::string::npos);
+  EXPECT_EQ(port.accepted(), accepted_after);
+  EXPECT_EQ(server.shell_metrics()->GetCounter("serve.io_faults").value(), 1u);
+  EXPECT_EQ(failpoints.fires(), 1u);
+}
+
+TEST(PortTest, AcceptFailpointDropsConnectionNotServer) {
   // Faulted connections are not counted as accepted — they are io_faults.
-  EXPECT_EQ(port.accepted(), 1u);
-  EXPECT_GE(server.shell_metrics()->GetCounter("serve.io_faults").value(), 1u);
+  ExpectFaultDropsOnlyThatConnection("serve_accept", 1);
+}
+
+TEST(PortTest, ReadFailpointDropsConnectionNotServer) {
+  ExpectFaultDropsOnlyThatConnection("serve_read", 2);
+}
+
+TEST(PortTest, WriteFailpointDropsConnectionNotServer) {
+  ExpectFaultDropsOnlyThatConnection("serve_write", 2);
+}
+
+// ---------------------------------------------------------------------------
+// Listener: finished connection threads are joined while serving.
+
+/// Lines of /proc/self/maps; 0 when it cannot be read. A thread stack the C
+/// library keeps for an unjoined thread is a mapping plus its guard page.
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  return static_cast<size_t>(std::count(std::istreambuf_iterator<char>(maps),
+                                        std::istreambuf_iterator<char>(),
+                                        '\n'));
+}
+
+TEST(ListenerTest, FinishedConnectionThreadsAreReaped) {
+  if (MappingCount() == 0) GTEST_SKIP() << "no /proc/self/maps";
+  Shell shell;
+  LoadCatalog(&shell);
+  Server server(&shell, Server::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  Port port(&server, Port::Options{});
+  MetricsHttp http(server.shell_metrics(), nullptr, MetricsHttp::Options{});
+  if (!port.Listen().ok() || !http.Listen().ok()) {
+    GTEST_SKIP() << "cannot bind loopback";
+  }
+  auto churn = [&port, &http](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      EXPECT_EQ(PortExchange(port.port(), "hello\nbye\n").size(), 2u);
+      EXPECT_NE(HttpGet(http.port(), "/healthz").find("200 OK"),
+                std::string::npos);
+    }
+  };
+  constexpr int kWarmup = 8;  // first-use mappings (malloc arenas) settle
+  churn(kWarmup);
+  const size_t before = MappingCount();
+  constexpr int kConnections = 200;
+  churn(kConnections);
+  const size_t after = MappingCount();
+  // Keeping every finished thread until Shutdown would hold one stack (two
+  // mappings) per connection: 4 * kConnections more lines across both doors.
+  EXPECT_LT(after, before + kConnections / 4)
+      << "mappings " << before << " -> " << after;
+  EXPECT_EQ(port.accepted(), static_cast<uint64_t>(kWarmup + kConnections));
+  EXPECT_EQ(http.scrapes(), static_cast<uint64_t>(kWarmup + kConnections));
+}
+
+TEST(ListenerTest, ShutdownEndsLiveConnectionsWhileOthersChurn) {
+  Shell shell;
+  LoadCatalog(&shell);
+  Server server(&shell, Server::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  Port port(&server, Port::Options{});
+  Status listening = port.Listen();
+  if (!listening.ok()) {
+    GTEST_SKIP() << "cannot bind loopback: " << listening.ToString();
+  }
+  // Held sessions: each has its hello answered and then idles in read.
+  constexpr int kHeld = 4;
+  std::vector<int> held;
+  for (int i = 0; i < kHeld; ++i) {
+    const int fd = DialLoopback(port.port());
+    ASSERT_GE(fd, 0);
+    held.push_back(fd);
+    ASSERT_EQ(::send(fd, "hello\n", 6, MSG_NOSIGNAL), 6);
+    char c;
+    ASSERT_EQ(::recv(fd, &c, 1, 0), 1);  // the hello frame started arriving
+  }
+  // Concurrent churn: connection threads finish in any order while the
+  // accept loop reaps them.
+  constexpr int kClients = 4;
+  constexpr int kEach = 25;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&port] {
+      for (int i = 0; i < kEach; ++i) {
+        EXPECT_EQ(PortExchange(port.port(), "hello\nbye\n").size(), 2u);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(server.session_count(), static_cast<size_t>(kHeld));
+  // Shutdown wakes the idle reads, so their handlers close the sessions.
+  port.Shutdown();
+  for (int fd : held) {
+    (void)ReadToEof(fd);
+    ::close(fd);
+  }
+  EXPECT_EQ(server.session_count(), 0u);
+  EXPECT_EQ(port.accepted(), static_cast<uint64_t>(kHeld + kClients * kEach));
 }
 
 }  // namespace

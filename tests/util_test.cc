@@ -57,6 +57,22 @@ TEST(StringsTest, JoinSplitStrip) {
   EXPECT_FALSE(StartsWith("fo", "foo"));
 }
 
+TEST(StringsTest, ParseU64AcceptsOnlyInRangeDecimals) {
+  EXPECT_EQ(*ParseU64("0"), 0u);
+  EXPECT_EQ(*ParseU64("007"), 7u);
+  EXPECT_EQ(*ParseU64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", " 1", "1 ", "+1", "-1", "1e3", "0x10", "abc",
+                          "18446744073709551616", "18446744073709551620",
+                          "99999999999999999999", "184467440737095516150"}) {
+    Result<uint64_t> parsed = ParseU64(bad);
+    EXPECT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_NE(ParseU64("18446744073709551616").status().message().find(
+                "out of range"),
+            std::string::npos);
+}
+
 TEST(StringsTest, StrFormatAndHash) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%s", ""), "");

@@ -154,13 +154,44 @@ TEST(JournalStoreTest, TamperedEntryIsReportedNotFatal) {
   EXPECT_NE(report.errors[0].find("seal mismatch"), std::string::npos);
   EXPECT_FALSE((*entries)[0].seal_ok);
   EXPECT_TRUE((*entries)[1].seal_ok);
-  // The offline JSONL reader (certify <file>) parses the same lines.
-  Result<std::vector<AccessCertificate>> certs =
-      CertificatesFromJsonl(ReadFile(path));
-  ASSERT_TRUE(certs.ok());
-  EXPECT_EQ(certs->size(), 2u);
-  EXPECT_FALSE(VerifyCertificate((*certs)[0]));
-  EXPECT_TRUE(VerifyCertificate((*certs)[1]));
+  // `certify <file>` reads through the same loader and re-verifies.
+  EXPECT_FALSE(VerifyCertificate((*entries)[0].cert));
+  EXPECT_TRUE(VerifyCertificate((*entries)[1].cert));
+  RemoveJournalFiles(path);
+}
+
+TEST(CertifyShellTest, ReadsEveryRotatedGeneration) {
+  const std::string path = ::testing::TempDir() + "journal_certify.jsonl";
+  RemoveJournalFiles(path);
+  {
+    // Two lines per generation: six entries fill `.2`, `.1` and the live
+    // file.
+    const uint64_t line_bytes =
+        JournalLineJson(MakeCert(0), -1.0, false).size() + 1;
+    JournalStore store(path, 2 * line_bytes + line_bytes / 2);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(store.Append(MakeCert(i), -1.0, false).ok());
+    }
+    ASSERT_EQ(store.rotations(), 2u);
+  }
+  Shell shell;
+  Result<std::string> out = shell.Execute("certify " + path);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_NE(out->find("6/6 certificates verify"), std::string::npos) << *out;
+
+  // A sealed counter bumped in the oldest generation fails the run.
+  const std::string oldest = path + ".2";
+  std::string text = ReadFile(oldest);
+  const size_t pos = text.find("\"actual_fetches\":10");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 19, "\"actual_fetches\":99");
+  { std::ofstream rewrite(oldest, std::ios::trunc); rewrite << text; }
+  Result<std::string> tampered = shell.Execute("certify " + path);
+  ASSERT_FALSE(tampered.ok());
+  EXPECT_EQ(tampered.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(tampered.status().message().find("1/6 certificates failed"),
+            std::string::npos)
+      << tampered.status().message();
   RemoveJournalFiles(path);
 }
 
