@@ -1,5 +1,6 @@
 #include "io/catalog.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -195,23 +196,19 @@ Result<AccessSchema> ParseAccessSchemaText(std::string_view text,
   return access;
 }
 
-Value ParseCsvValue(std::string_view field) {
+Result<Value> ParseCsvValue(std::string_view field) {
   field = StripWhitespace(field);
   if (field.size() >= 2 && field.front() == '"' && field.back() == '"') {
     return Value::Str(field.substr(1, field.size() - 2));
   }
-  if (!field.empty()) {
-    size_t start = field[0] == '-' ? 1 : 0;
-    bool numeric = start < field.size();
-    for (size_t i = start; i < field.size(); ++i) {
-      if (!std::isdigit(static_cast<unsigned char>(field[i]))) {
-        numeric = false;
-        break;
-      }
-    }
-    if (numeric) {
-      return Value::Int(std::stoll(std::string(field)));
-    }
+  const std::string_view digits =
+      field.substr(!field.empty() && field[0] == '-' ? 1 : 0);
+  if (!digits.empty() &&
+      std::all_of(digits.begin(), digits.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c));
+      })) {
+    SI_ASSIGN_OR_RETURN(int64_t v, ParseI64(field));
+    return Value::Int(v);
   }
   return Value::Str(field);
 }
@@ -234,7 +231,15 @@ Status LoadRelationCsv(Database* db, const std::string& relation,
     }
     Tuple t;
     t.reserve(arity);
-    for (const std::string& f : fields) t.push_back(ParseCsvValue(f));
+    for (const std::string& f : fields) {
+      Result<Value> v = ParseCsvValue(f);
+      if (!v.ok()) {
+        return Status::InvalidArgument(
+            StrFormat("%s line %zu: %s", relation.c_str(), line_number,
+                      v.status().message().c_str()));
+      }
+      t.push_back(std::move(v).ValueOrDie());
+    }
     db->Insert(relation, t);
   }
   return Status::OK();

@@ -39,8 +39,9 @@ Result<Schema> ParseSchemaText(std::string_view text);
 Result<AccessSchema> ParseAccessSchemaText(std::string_view text,
                                            const Schema& schema);
 
-/// Parses one CSV value using the integer-or-string rule above.
-Value ParseCsvValue(std::string_view field);
+/// Parses one CSV value using the integer-or-string rule above; an integer
+/// outside the int64 range is InvalidArgument.
+Result<Value> ParseCsvValue(std::string_view field);
 
 /// Loads CSV rows into `relation` of `db`. Rows with the wrong arity fail.
 Status LoadRelationCsv(Database* db, const std::string& relation,

@@ -1,5 +1,6 @@
 #include "io/shell.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "core/bounded_eval.h"
@@ -27,8 +28,9 @@ Result<Binding> ParseShellBinding(std::string_view text) {
       return Status::InvalidArgument("expected var=value in '" + piece + "'");
     }
     std::string var(StripWhitespace(std::string_view(piece).substr(0, eq)));
-    Value value = ParseCsvValue(std::string_view(piece).substr(eq + 1));
-    out.emplace(Variable::Named(var), value);
+    SI_ASSIGN_OR_RETURN(Value value,
+                        ParseCsvValue(std::string_view(piece).substr(eq + 1)));
+    out.emplace(Variable::Named(var), std::move(value));
   }
   return out;
 }
@@ -103,13 +105,6 @@ Shell::Shell() {
       (void)dumper_->Start(std::move(path), secs, metrics_.get());
     }
   }
-  if (const char* ms = std::getenv("SCALEIN_SLOW_QUERY_MS"); ms != nullptr) {
-    Result<uint64_t> parsed = ParseU64(ms);
-    if (parsed.ok()) {
-      metrics_->GetGauge("shell.slow_query_threshold_ms")
-          .Set(static_cast<int64_t>(*parsed));
-    }
-  }
 }
 
 Shell::~Shell() {
@@ -147,10 +142,10 @@ std::string Shell::HelpText() {
       "                 shard-advisor decisions (applied on resize)\n"
       "  stats [prom] | stats watch <secs> [path] | stats watch off\n"
       "  journal        list this session's access certificates\n"
-      "  certify        re-verify every certificate offline\n"
-      "  certify <dump.json>  re-verify certificates from a dump file\n"
+      "  certify [file] re-verify every certificate (this session's, or a\n"
+      "                 dump / JSONL journal file's) and report the top and\n"
+      "                 slowest queries, violations and trip timeline\n"
       "  dump [path]    write the flight-recorder/journal/metrics dump\n"
-      "  slowlog [<ms>|off]  set/show the slow-query threshold\n"
       "  workload [top K | fingerprint <fp> | advice]  per-fingerprint\n"
       "                 bound-accuracy telemetry and view / FD-aware-bound\n"
       "                 advice (persisted via SCALEIN_JOURNAL_PATH)\n"
@@ -284,8 +279,6 @@ Result<std::string> Shell::ExecuteImpl(const std::string& command,
 
   if (command == "dump") return RunDump(rest);
 
-  if (command == "slowlog") return RunSlowlog(rest);
-
   if (command == "workload") return RunWorkload(rest);
 
   return Status::InvalidArgument("unknown command '" + command +
@@ -386,32 +379,24 @@ std::string Shell::RecordBoundedRun(const ServePlan& plan,
 }
 
 Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
-  const char* usage = explain ? "usage: explain var=value,... <query>"
-                              : "usage: eval var=value,... <query>";
-  size_t sp = rest.find(' ');
-  if (sp == std::string_view::npos) return Status::InvalidArgument(usage);
-  ServePlan plan;
-  SI_ASSIGN_OR_RETURN(plan.params, ParseShellBinding(rest.substr(0, sp)));
-  plan.query_text = std::string(StripWhitespace(rest.substr(sp + 1)));
-  SI_ASSIGN_OR_RETURN(plan.query, ParseFoQuery(plan.query_text, &schema_));
-  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
-  // One correlation id per evaluation: every span, recorder event, slow-log
-  // entry, certificate, journal line, and post-mortem dump produced below
-  // carries it (workers included), so one query's artifacts join on one id.
+  if (rest.find(' ') == std::string_view::npos) {
+    return Status::InvalidArgument(explain
+                                       ? "usage: explain var=value,... <query>"
+                                       : "usage: eval var=value,... <query>");
+  }
+  // One correlation id per evaluation: every span (analysis included),
+  // recorder event, certificate, journal line, and post-mortem dump produced
+  // below carries it (workers included), so one query's artifacts join on
+  // one id.
   const obs::QueryId qid{obs::SessionFingerprint(), ++query_seq_};
   obs::ScopedQueryCorrelation correlate(qid);
-  SI_ASSIGN_OR_RETURN(plan.analysis,
-                      analysis_cache_->GetOrAnalyze(plan.query.body,
-                                                    plan.query_text, schema_,
-                                                    access_, {},
-                                                    &plan.compiled));
+  SI_ASSIGN_OR_RETURN(ServePlan plan, PlanForServe(rest));
   metrics_->GetGauge("shell.analysis_cache.hits")
       .Set(static_cast<int64_t>(analysis_cache_->stats().hits));
   metrics_->GetGauge("shell.analysis_cache.misses")
       .Set(static_cast<int64_t>(analysis_cache_->stats().misses));
   SI_RETURN_IF_ERROR(access_.BuildIndexes(db_.get(), schema_));
 
-  plan.fingerprint = obs::Fingerprint(plan.query_text);
   if (obs::FlightRecorderEnabled()) {
     obs::RecordFlightEvent(obs::EventKind::kPlan, plan.fingerprint,
                            {obs::EventArg("query", plan.query_text)});
@@ -419,7 +404,6 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
   SI_ASSIGN_OR_RETURN(BoundedRun run,
                       RunBounded(plan, limits_, qid, explain, ""));
   const BoundedEvalStats& stats = run.stats;
-  const exec::Degraded<AnswerSet>& degraded = run.degraded;
   for (const auto& [lane, fetched] : stats.fetched_by_lane) {
     metrics_->GetCounter(StrFormat("shell.lane.%d.fetched", lane))
         .Increment(fetched);
@@ -438,53 +422,27 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
         .Set(static_cast<int64_t>(shard_advisor_.reshards()));
   }
 
-  // Slow-query log: the threshold lives in a gauge so it is visible in
-  // `stats` output and settable from both `slowlog` and the environment.
-  const int64_t slow_ms =
-      metrics_->GetGauge("shell.slow_query_threshold_ms").value();
-  if (slow_ms > 0 && run.elapsed_ms >= static_cast<double>(slow_ms)) {
-    metrics_->GetCounter("shell.slow_queries").Increment();
-    if (obs::FlightRecorderEnabled()) {
-      obs::RecordFlightEvent(
-          obs::EventKind::kSlowQuery, plan.fingerprint,
-          {obs::EventArg("ms", run.elapsed_ms),
-           obs::EventArg("threshold_ms", static_cast<uint64_t>(slow_ms))});
-    }
-  }
-
   // Seal this query's access certificate and journal it.
-  const std::string warnings = RecordBoundedRun(plan, qid, run);
-
-  if (explain) {
-    std::string out =
-        obs::RenderExplainAnalyze(stats.ops, stats.base_tuples_fetched,
-                                  stats.index_lookups, stats.static_bound,
-                                  degraded.trip);
-    if (!stats.fetched_by_lane.empty()) {
-      out += "lanes:";
-      for (const auto& [lane, fetched] : stats.fetched_by_lane) {
-        out += StrFormat(" %d=%llu", lane,
-                         static_cast<unsigned long long>(fetched));
-      }
-      out += "\n";
-    }
-    out += "compiled:\n" + run.program->Disassemble();
-    return out +
-           StrFormat("(%zu answers%s)\n", degraded.value.size(),
-                     degraded.complete ? "" : ", partial") +
-           warnings;
-  }
+  const ServeEvalOutcome outcome =
+      Outcome(run, RecordBoundedRun(plan, qid, run));
+  if (!explain) return outcome.ToString();
   std::string out =
-      AnswerSetToString(degraded.value, 50) +
-      StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n",
-                degraded.value.size(),
-                static_cast<unsigned long long>(stats.base_tuples_fetched),
-                degraded.complete ? "" : ", partial");
-  if (!degraded.complete) {
-    out += "tripped: " + degraded.trip.ToString() + "\n";
+      obs::RenderExplainAnalyze(stats.ops, stats.base_tuples_fetched,
+                                stats.index_lookups, stats.static_bound,
+                                run.degraded.trip);
+  if (!stats.fetched_by_lane.empty()) {
+    out += "lanes:";
+    for (const auto& [lane, fetched] : stats.fetched_by_lane) {
+      out += StrFormat(" %d=%llu", lane,
+                       static_cast<unsigned long long>(fetched));
+    }
+    out += "\n";
   }
-  out += warnings;
-  return out;
+  out += "compiled:\n" + run.program->Disassemble();
+  return out +
+         StrFormat("(%zu answers%s)\n", outcome.answers,
+                   outcome.complete ? "" : ", partial") +
+         outcome.warnings;
 }
 
 Status Shell::PrepareServe() {
@@ -533,8 +491,12 @@ Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
   SI_ASSIGN_OR_RETURN(BoundedRun run, RunBounded(plan, limits, qid,
                                                  /*explain=*/false,
                                                  client_tag));
+  return Outcome(run, RecordBoundedRun(plan, qid, run, client_tag));
+}
+
+ServeEvalOutcome Shell::Outcome(const BoundedRun& run, std::string warnings) {
   ServeEvalOutcome out;
-  out.warnings = RecordBoundedRun(plan, qid, run, client_tag);
+  out.warnings = std::move(warnings);
   out.answers = run.degraded.value.size();
   out.rendered = AnswerSetToString(run.degraded.value, 50);
   out.fetched = run.stats.base_tuples_fetched;
@@ -542,6 +504,16 @@ Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
   out.complete = run.degraded.complete;
   out.trip = run.degraded.trip;
   return out;
+}
+
+std::string ServeEvalOutcome::ToString() const {
+  std::string out =
+      rendered +
+      StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n", answers,
+                static_cast<unsigned long long>(fetched),
+                complete ? "" : ", partial");
+  if (!complete) out += "tripped: " + trip.ToString() + "\n";
+  return out + warnings;
 }
 
 std::string Shell::RecordServeVerdict(obs::AccessCertificate cert,
@@ -578,7 +550,8 @@ std::string Shell::RecordEvalOutcome(obs::AccessCertificate cert,
       warnings += "warning: journal append failed: " + s.message() + "\n";
     }
   }
-  journal_->Append(std::move(cert));
+  journal_->Append(obs::JournalEntry{std::move(cert), elapsed_ms,
+                                     noncontrollable, client_tag});
   if (governor_tripped && obs::PostMortemArmed()) {
     if (Status s = obs::WritePostMortemStatus("governor-trip"); !s.ok()) {
       warnings += "warning: post-mortem dump failed: " + s.message() + "\n";
@@ -713,12 +686,13 @@ Result<std::string> Shell::RunStats(std::string_view rest) {
 }
 
 Result<std::string> Shell::RunJournal() const {
-  std::vector<obs::AccessCertificate> certs = journal_->certificates();
+  std::vector<obs::JournalEntry> entries = journal_->entries();
   std::string out = StrFormat("%zu certificate(s), %llu dropped\n",
-                              certs.size(),
+                              entries.size(),
                               static_cast<unsigned long long>(
                                   journal_->dropped()));
-  for (const obs::AccessCertificate& c : certs) {
+  for (const obs::JournalEntry& e : entries) {
+    const obs::AccessCertificate& c = e.cert;
     out += StrFormat("  %s %s fetches=%llu", c.query_fingerprint.c_str(),
                      obs::CertVerdictName(c.verdict),
                      static_cast<unsigned long long>(c.actual_fetches));
@@ -733,50 +707,28 @@ Result<std::string> Shell::RunJournal() const {
 
 Result<std::string> Shell::RunCertify(std::string_view rest) const {
   const std::string path(StripWhitespace(rest));
-  std::vector<obs::AccessCertificate> certs;
-  if (path.empty()) {
-    certs = journal_->certificates();
-  } else {
-    // Offline mode: re-verify certificates out of a previously written dump
-    // (the `dump` command's JSON, a bare journal object, or a bare array) or
-    // a JSONL journal written by the persistent JournalStore, every rotated
-    // generation oldest-first.
-    SI_ASSIGN_OR_RETURN(std::string json, ReadFileToString(path));
-    Result<std::vector<obs::AccessCertificate>> parsed =
-        obs::CertificatesFromDumpJson(json);
-    if (parsed.ok()) {
-      certs = std::move(parsed).ValueOrDie();
-    } else {
-      SI_ASSIGN_OR_RETURN(std::vector<obs::JournalEntry> entries,
-                          obs::JournalStore(path).Load());
-      if (entries.empty()) {
-        return Status::InvalidArgument(
-            "no certificate line parses as a journal entry");
-      }
-      for (obs::JournalEntry& e : entries) certs.push_back(std::move(e.cert));
-    }
+  // Offline mode reads a dump or a JSONL journal file; the live journal goes
+  // through the very document a `dump` would write, so both read one way.
+  SI_ASSIGN_OR_RETURN(
+      obs::CertificateStream stream,
+      path.empty() ? obs::ParseDumpStream(obs::RenderDump(
+                         "live", recorder_.get(), journal_.get(), nullptr))
+                   : obs::LoadCertificateStream(path));
+  if (stream.entries.empty()) {
+    return std::string("no certificates to verify\n");
   }
-  if (certs.empty()) return std::string("no certificates to verify\n");
-  std::string out;
-  size_t passed = 0;
-  for (const obs::AccessCertificate& c : certs) {
-    const bool ok = obs::VerifyCertificate(c);
-    if (ok) ++passed;
-    out += StrFormat("  %s %s %s\n", c.query_fingerprint.c_str(),
-                     obs::CertVerdictName(c.verdict),
-                     ok ? "signature-ok" : "SIGNATURE-MISMATCH");
-  }
-  out += StrFormat("%zu/%zu certificates verify", passed, certs.size());
-  if (!path.empty()) out += " (from " + path + ")";
-  out += "\n";
-  if (passed != certs.size()) {
+  const std::string out = obs::RenderCertificateReport(stream, path);
+  const size_t failed = static_cast<size_t>(
+      std::count_if(stream.entries.begin(), stream.entries.end(),
+                    [](const obs::JournalEntry& e) { return !e.seal_ok; }));
+  if (failed > 0) {
     // A failed seal is tampered (or corrupted) evidence, not a warning to
     // scroll past: surface it as a typed error so batch callers (CI, the
-    // example binary's exit code) fail loudly. The listing travels in the
-    // message so the operator still sees which lines broke.
+    // example binary's exit code) fail loudly. The report travels in the
+    // message so the operator still sees which records broke.
     return Status::DataLoss(StrFormat("%zu/%zu certificates failed seal "
                                       "verification\n",
-                                      certs.size() - passed, certs.size()) +
+                                      failed, stream.entries.size()) +
                             out);
   }
   return out;
@@ -853,24 +805,6 @@ Result<std::string> Shell::RunWorkload(std::string_view rest) const {
   if (args == "advice") return workload_->RenderAdvice();
   return Status::InvalidArgument(
       "usage: workload [top K | fingerprint <fp> | advice]");
-}
-
-Result<std::string> Shell::RunSlowlog(std::string_view rest) {
-  obs::Gauge& gauge = metrics_->GetGauge("shell.slow_query_threshold_ms");
-  if (rest.empty()) {
-    const int64_t ms = gauge.value();
-    if (ms <= 0) return std::string("slow-query log off\n");
-    return StrFormat("slow-query threshold: %lld ms\n",
-                     static_cast<long long>(ms));
-  }
-  if (rest == "off") {
-    gauge.Set(0);
-    return std::string("slow-query log off\n");
-  }
-  SI_ASSIGN_OR_RETURN(uint64_t ms, ParseU64(rest));
-  gauge.Set(static_cast<int64_t>(ms));
-  return StrFormat("slow-query threshold: %llu ms\n",
-                   static_cast<unsigned long long>(ms));
 }
 
 Result<std::string> Shell::RunLimit(std::string_view rest) {

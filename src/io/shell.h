@@ -54,6 +54,11 @@ struct ServeEvalOutcome {
   bool complete = true;      ///< false: governor tripped, partial extent
   exec::TripInfo trip;       ///< meaningful when !complete
   std::string warnings;      ///< surfaced journal/dump write failures
+
+  /// The reply body shell `eval` and the server share: the answers, "(N
+  /// answers, F base tuples fetched[, partial])", a "tripped:" line when
+  /// the governor stopped the query, then the warnings.
+  std::string ToString() const;
 };
 
 /// Command interpreter behind examples/scalein_shell.cpp: builds up a schema,
@@ -77,7 +82,7 @@ struct ServeEvalOutcome {
 ///                  decisions per relation (and applies them on resize)
 ///   stats [prom] | stats watch <secs> [path] | stats watch off
 ///   journal | certify [dump.json|journal.jsonl] | dump [path]
-///   slowlog [<ms>|off] | workload [top K | fingerprint <fp> | advice]
+///   workload [top K | fingerprint <fp> | advice]
 ///
 /// `limit` arms the session's resource governor: later eval/explain/qdsi
 /// commands run under the envelope and report *partial* results plus the
@@ -88,9 +93,10 @@ struct ServeEvalOutcome {
 /// process-wide sink) and a query journal of access certificates — one
 /// sealed certificate per eval. Each eval mints a QueryId
 /// (obs/correlation.h) that stamps its spans, recorder events, certificate,
-/// slow-log entry, journal line, and any post-mortem dump, so one query's
-/// artifacts are joinable by one id. `journal` lists certificates, `certify`
-/// re-verifies them offline, `dump` writes the joined post-mortem JSON. With
+/// journal line, and any post-mortem dump, so one query's artifacts are
+/// joinable by one id. `journal` lists certificates, `certify` re-verifies
+/// them and renders the post-mortem report (top and slowest queries,
+/// violations, trip timeline), `dump` writes the joined post-mortem JSON. With
 /// SCALEIN_DUMP_PATH set, the same dump is written automatically on governor
 /// trips, failpoint-induced errors, and session end. With
 /// SCALEIN_JOURNAL_PATH set, every certificate is also appended to a
@@ -102,10 +108,9 @@ struct ServeEvalOutcome {
 class Shell {
  public:
   /// Also arms the failpoint framework from SCALEIN_FAILPOINTS, the
-  /// post-mortem dump from SCALEIN_DUMP_PATH, the periodic metrics dump from
-  /// SCALEIN_METRICS_DUMP=<path>:<secs>, and the slow-query threshold from
-  /// SCALEIN_SLOW_QUERY_MS — so piping a script through the shell exercises
-  /// fault and observability paths without recompiling.
+  /// post-mortem dump from SCALEIN_DUMP_PATH and the periodic metrics dump
+  /// from SCALEIN_METRICS_DUMP=<path>:<secs> — so piping a script through
+  /// the shell exercises fault and observability paths without recompiling.
   Shell();
   ~Shell();
   Shell(Shell&&) = default;
@@ -128,7 +133,7 @@ class Shell {
   /// Session flight recorder (installed as the process-global sink while
   /// this shell is the most recently constructed one).
   const obs::FlightRecorder& recorder() const { return *recorder_; }
-  /// Per-query access certificates, newest last.
+  /// Per-query journal records (certificate + latency), newest last.
   const obs::QueryJournal& journal() const { return *journal_; }
   /// Per-fingerprint workload telemetry (always on; fed by every eval and,
   /// when SCALEIN_JOURNAL_PATH is set, by the replayed persistent journal).
@@ -190,11 +195,10 @@ class Shell {
   Result<std::string> RunLimit(std::string_view rest);
   Result<std::string> RunStats(std::string_view rest);
   Result<std::string> RunJournal() const;
-  /// `certify` re-verifies the live journal; `certify <dump.json>` loads
-  /// certificates back out of a dump file and re-verifies them offline.
+  /// `certify` re-verifies the live journal; `certify <file>` reads a dump
+  /// or a JSONL journal back. Both render obs::RenderCertificateReport.
   Result<std::string> RunCertify(std::string_view rest) const;
   Result<std::string> RunDump(std::string_view rest) const;
-  Result<std::string> RunSlowlog(std::string_view rest);
   /// `threads [N]`: show or resize the global morsel worker pool.
   Result<std::string> RunThreads(std::string_view rest);
   /// `workload [top K | fingerprint <fp> | advice]`: per-fingerprint
@@ -215,6 +219,8 @@ class Shell {
                                 const exec::GovernorLimits& limits,
                                 const obs::QueryId& qid, bool explain,
                                 const std::string& client_tag);
+  /// The client-facing outcome of a finished RunBounded.
+  static ServeEvalOutcome Outcome(const BoundedRun& run, std::string warnings);
   /// Seals and records the access certificate of a finished RunBounded.
   std::string RecordBoundedRun(const ServePlan& plan, const obs::QueryId& qid,
                                const BoundedRun& run,

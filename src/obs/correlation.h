@@ -7,8 +7,8 @@
 namespace scalein::obs {
 
 /// One query's correlation identity: every artifact an evaluation produces
-/// — spans, flight-recorder events, the sealed access certificate, slow-log
-/// entries, post-mortem dumps, journal lines — carries the same QueryId, so
+/// — spans, flight-recorder events, the sealed access certificate,
+/// post-mortem dumps, journal lines — carries the same QueryId, so
 /// a forensic reader can join them without guessing by timestamp.
 ///
 /// `session` fingerprints the process (or SCALEIN_SESSION_ID when set, for

@@ -1,12 +1,16 @@
 #include "obs/dump.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 #include "obs/correlation.h"
-#include "obs/json.h"
+#include "util/strings.h"
 
 namespace scalein::obs {
 
@@ -23,6 +27,203 @@ std::string RenderDump(std::string_view reason, const FlightRecorder* recorder,
   if (journal != nullptr) out += ",\"journal\":" + journal->ToJson();
   if (metrics != nullptr) out += ",\"metrics\":" + metrics->ToJson();
   out += "}";
+  return out;
+}
+
+Result<CertificateStream> ParseDumpStream(std::string_view json) {
+  CertificateStream stream;
+  SI_ASSIGN_OR_RETURN(stream.dump, ParseJson(json));
+  const JsonValue* certs = &stream.dump;
+  if (!certs->is_array()) {
+    const JsonValue* journal = stream.dump.Find("journal");
+    certs = (journal != nullptr ? journal : &stream.dump)->Find("certificates");
+  }
+  if (certs == nullptr || !certs->is_array()) {
+    return Status::InvalidArgument(
+        "dump has no certificate array (expected a post-mortem dump, a "
+        "journal object, or a bare array)");
+  }
+  for (size_t i = 0; i < certs->array.size(); ++i) {
+    Result<JournalEntry> entry = JournalEntryFromJson(certs->array[i]);
+    if (!entry.ok()) {
+      return Status::InvalidArgument("certificate " + std::to_string(i) +
+                                     ": " + entry.status().message());
+    }
+    stream.entries.push_back(std::move(entry).ValueOrDie());
+  }
+  return stream;
+}
+
+Result<CertificateStream> LoadCertificateStream(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open '" + path + "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  Result<CertificateStream> dump = ParseDumpStream(text.str());
+  if (dump.ok()) return dump;
+  CertificateStream stream;
+  SI_ASSIGN_OR_RETURN(stream.entries, JournalStore(path).Load());
+  if (stream.entries.empty()) {
+    return Status::InvalidArgument(
+        "no certificate line parses as a journal entry");
+  }
+  return stream;
+}
+
+namespace {
+
+/// Records listed in each ranking section of the certify report.
+constexpr size_t kReportTop = 5;
+
+/// "fetches=<n>  bound <M>" — a record's actuals against its Thm 4.2 bound.
+std::string FetchesAndBound(const AccessCertificate& c) {
+  return StrFormat("fetches=%llu  ",
+                   static_cast<unsigned long long>(c.actual_fetches)) +
+         (c.static_bound < 0 ? "(no static bound)"
+                             : StrFormat("bound %g", c.static_bound));
+}
+
+/// "  <fp>  <qid>  <detail>  [<verdict>]<suffix>", the query text beneath.
+std::string EntryLines(const JournalEntry& e, const std::string& detail,
+                       const std::string& suffix = "") {
+  const AccessCertificate& c = e.cert;
+  std::string out = "  " + c.query_fingerprint + "  " +
+                    (c.query_id.empty() ? "-" : c.query_id) + "  " + detail +
+                    "  [" + CertVerdictName(c.verdict) + "]" + suffix + "\n";
+  if (!c.query_text.empty()) out += "      " + c.query_text + "\n";
+  return out;
+}
+
+/// The first kReportTop of `rows` by `key`, largest first; ties keep
+/// journal order.
+template <typename Key>
+std::vector<const JournalEntry*> TopBy(std::vector<const JournalEntry*> rows,
+                                       Key key) {
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](const JournalEntry* a, const JournalEntry* b) {
+                     return key(*a) > key(*b);
+                   });
+  if (rows.size() > kReportTop) rows.resize(kReportTop);
+  return rows;
+}
+
+/// A recorder event arg as text: strings bare, numbers %g, bools by name.
+std::string ArgText(const JsonValue& v) {
+  if (v.is_string()) return v.string;
+  if (v.is_number()) return JsonNumber(v.number);
+  if (v.kind == JsonValue::Kind::kBool) return v.boolean ? "true" : "false";
+  return "?";
+}
+
+std::string RenderEventSections(const JsonValue& recorder) {
+  const JsonValue* events = recorder.Find("events");
+  const std::vector<JsonValue> none;
+  const std::vector<JsonValue>& list =
+      events != nullptr ? events->array : none;
+  std::string out = "\n== trip timeline ==\n";
+  const double t0 = list.empty() ? 0 : list[0].NumberOr("t_ns", 0);
+  size_t shown = 0;
+  std::map<std::string, size_t> kinds;
+  for (const JsonValue& e : list) {
+    const std::string kind = e.StringOr("kind", "?");
+    ++kinds[kind];
+    if (kind != "governor-trip" && kind != "failpoint-fire") continue;
+    ++shown;
+    out += StrFormat("  +%10.3f ms  seq=%5.0f  %s  %s",
+                     (e.NumberOr("t_ns", 0) - t0) / 1e6,
+                     e.NumberOr("seq", 0), kind.c_str(),
+                     e.StringOr("label", "").c_str());
+    if (const JsonValue* args = e.Find("args"); args != nullptr) {
+      for (const auto& [key, value] : args->object) {
+        out += " " + key + "=" + ArgText(value);
+      }
+    }
+    out += "\n";
+  }
+  if (shown == 0) out += "  none — no governor trips or failpoint fires\n";
+  out += "\n== event kinds ==\n";
+  for (const auto& [kind, count] : kinds) {
+    out += StrFormat("  %-20s %zu\n", kind.c_str(), count);
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string RenderCertificateReport(const CertificateStream& stream,
+                                    std::string_view source) {
+  std::string out;
+  std::vector<const JournalEntry*> sealed;
+  for (const JournalEntry& e : stream.entries) {
+    out += StrFormat("  %s %s %s\n", e.cert.query_fingerprint.c_str(),
+                     CertVerdictName(e.cert.verdict),
+                     e.seal_ok ? "signature-ok" : "SIGNATURE-MISMATCH");
+    if (e.seal_ok) sealed.push_back(&e);
+  }
+  out += StrFormat("%zu/%zu certificates verify", sealed.size(),
+                   stream.entries.size());
+  if (!source.empty()) out += " (from " + std::string(source) + ")";
+  out += "\n\n";
+
+  const JsonValue& dump = stream.dump;
+  const JsonValue* recorder = dump.Find("recorder");
+  if (const JsonValue* reason = dump.Find("reason"); reason != nullptr) {
+    out += "dump reason: " + reason->string + "\n";
+  }
+  if (recorder != nullptr) {
+    const JsonValue* events = recorder->Find("events");
+    out += StrFormat("events: %zu in ring (%.0f appended, %.0f dropped)\n",
+                     events != nullptr ? events->array.size() : 0,
+                     recorder->NumberOr("appended", 0),
+                     recorder->NumberOr("dropped", 0));
+  }
+  out += StrFormat("certificates: %zu", stream.entries.size());
+  if (const JsonValue* journal = dump.Find("journal"); journal != nullptr) {
+    out += StrFormat(" (%.0f dropped)", journal->NumberOr("dropped", 0));
+  }
+  out += "\n";
+
+  out += StrFormat("\n== top queries by fetches (top %zu) ==\n", kReportTop);
+  if (sealed.empty()) out += "  (no sealed certificates)\n";
+  for (const JournalEntry* e :
+       TopBy(sealed, [](const JournalEntry& e) {
+         return e.cert.actual_fetches;
+       })) {
+    out += EntryLines(*e, FetchesAndBound(e->cert));
+  }
+
+  // A record without a latency (< 0) sorts last and is not listed.
+  std::vector<const JournalEntry*> slowest =
+      TopBy(sealed, [](const JournalEntry& e) { return e.latency_ms; });
+  while (!slowest.empty() && slowest.back()->latency_ms < 0) {
+    slowest.pop_back();
+  }
+  out += StrFormat("\n== slowest queries (top %zu) ==\n", kReportTop);
+  if (slowest.empty()) out += "  (no recorded latencies)\n";
+  for (const JournalEntry* e : slowest) {
+    out += EntryLines(
+        *e, StrFormat("%.3f ms  fetches=%llu", e->latency_ms,
+                      static_cast<unsigned long long>(e->cert.actual_fetches)),
+        e->client_tag.empty() ? "" : "  tag=" + e->client_tag);
+  }
+
+  out += "\n== certificate violations ==\n";
+  size_t violations = 0;
+  for (const JournalEntry* e : sealed) {
+    const AccessCertificate& c = e->cert;
+    if (c.verdict != CertVerdict::kExceeded &&
+        c.verdict != CertVerdict::kTripped) {
+      continue;
+    }
+    ++violations;
+    out += EntryLines(*e, FetchesAndBound(c),
+                      c.trip_reason.empty() ? "" : "  — " + c.trip_reason);
+  }
+  if (violations == 0) {
+    out += "  none — every sealed query stayed within its bound\n";
+  }
+
+  if (recorder != nullptr) out += RenderEventSections(*recorder);
   return out;
 }
 

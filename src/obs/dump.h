@@ -10,6 +10,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/journal.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/status.h"
 
@@ -25,6 +26,32 @@ namespace scalein::obs {
 std::string RenderDump(std::string_view reason, const FlightRecorder* recorder,
                        const QueryJournal* journal,
                        const MetricsRegistry* metrics);
+
+/// A certificate stream read back for `certify`: every journal record with
+/// its seal re-verified, plus — when the source is a dump document — the
+/// parsed document, whose reason and recorder sections the report renders.
+struct CertificateStream {
+  std::vector<JournalEntry> entries;
+  JsonValue dump;  ///< null for a JSONL journal
+};
+
+/// Reads a dump document: a whole post-mortem dump (`{"journal": {...}}`),
+/// a bare journal object (`{"certificates": [...]}`) or a bare array.
+Result<CertificateStream> ParseDumpStream(std::string_view json);
+
+/// Reads `path` as a dump document, else as a JournalStore file (every
+/// rotated generation, oldest first). InvalidArgument when neither yields a
+/// record.
+Result<CertificateStream> LoadCertificateStream(const std::string& path);
+
+/// The report `certify` prints: one seal line per record and "V/N
+/// certificates verify" (suffixed "(from <source>)" when `source` is
+/// non-empty), then the dump header, the top queries by fetches, the slowest
+/// queries, the violations (exceeded or tripped), and — when the stream has
+/// a recorder section — the trip timeline and the event-kind histogram.
+/// Rankings and violations count only records whose seal verifies.
+std::string RenderCertificateReport(const CertificateStream& stream,
+                                    std::string_view source);
 
 /// Creates any missing parent directories of `path` (the file itself is not
 /// touched). A clear Status — not a silent drop — when creation fails. Used

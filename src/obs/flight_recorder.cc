@@ -27,8 +27,6 @@ const char* EventKindName(EventKind kind) {
       return "governor-trip";
     case EventKind::kFailpointFire:
       return "failpoint-fire";
-    case EventKind::kSlowQuery:
-      return "slow-query";
     case EventKind::kCertificate:
       return "certificate";
     case EventKind::kAdvisorSearch:

@@ -20,7 +20,8 @@
 namespace scalein::obs {
 
 /// What happened. One enumerator per structured event the engines append;
-/// the dump format and scripts/trace_report.py key off the names.
+/// the dump format and the `certify` report's trip timeline and event-kind
+/// histogram (obs::RenderCertificateReport) key off the names.
 enum class EventKind {
   kShellCommand,      ///< one shell line dispatched (label = command word)
   kQueryStart,        ///< an engine began evaluating a query
@@ -30,7 +31,6 @@ enum class EventKind {
   kMaintenanceStep,   ///< one incremental/view maintenance batch
   kGovernorTrip,      ///< a resource limit fired (label = trip description)
   kFailpointFire,     ///< an armed failpoint fired (label = site)
-  kSlowQuery,         ///< latency exceeded the slow-query threshold gauge
   kCertificate,       ///< an access certificate was sealed (label = verdict)
   kAdvisorSearch,     ///< an advisor design search completed
   kQdsiDecision,      ///< a §3 decision procedure returned

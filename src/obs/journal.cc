@@ -123,13 +123,14 @@ std::string GenerationPath(const std::string& path, int gen) {
   return gen == 0 ? path : path + "." + std::to_string(gen);
 }
 
-/// One parsed certificate object — shared by the dump reader (arrays) and
-/// the JSONL journal reader (one object per line).
-Result<AccessCertificate> CertificateFromJsonValue(const JsonValue& c) {
+}  // namespace
+
+Result<JournalEntry> JournalEntryFromJson(const JsonValue& c) {
   if (!c.is_object()) {
     return Status::InvalidArgument("certificate is not an object");
   }
-  AccessCertificate cert;
+  JournalEntry entry;
+  AccessCertificate& cert = entry.cert;
   cert.query_fingerprint = c.StringOr("query_fingerprint", "");
   cert.query_id = c.StringOr("query_id", "");
   cert.query_text = c.StringOr("query", "");
@@ -159,42 +160,11 @@ Result<AccessCertificate> CertificateFromJsonValue(const JsonValue& c) {
       cert.ops.push_back(std::move(op));
     }
   }
-  return cert;
-}
-
-}  // namespace
-
-Result<std::vector<AccessCertificate>> CertificatesFromDumpJson(
-    std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue* certs = nullptr;
-  if (parsed->is_array()) {
-    certs = &*parsed;
-  } else {
-    certs = parsed->Find("certificates");
-    if (certs == nullptr) {
-      const JsonValue* journal = parsed->Find("journal");
-      if (journal != nullptr) certs = journal->Find("certificates");
-    }
-  }
-  if (certs == nullptr || !certs->is_array()) {
-    return Status::InvalidArgument(
-        "dump has no certificate array (expected a post-mortem dump, a "
-        "journal object, or a bare array)");
-  }
-
-  std::vector<AccessCertificate> out;
-  out.reserve(certs->array.size());
-  for (size_t i = 0; i < certs->array.size(); ++i) {
-    Result<AccessCertificate> cert = CertificateFromJsonValue(certs->array[i]);
-    if (!cert.ok()) {
-      return Status::InvalidArgument("certificate " + std::to_string(i) +
-                                     ": " + cert.status().message());
-    }
-    out.push_back(std::move(cert).ValueOrDie());
-  }
-  return out;
+  entry.latency_ms = c.NumberOr("latency_ms", -1.0);
+  entry.noncontrollable = c.BoolOr("noncontrollable", false);
+  entry.client_tag = c.StringOr("client_tag", "");
+  entry.seal_ok = VerifyCertificate(cert);
+  return entry;
 }
 
 std::string JournalLineJson(const AccessCertificate& cert, double latency_ms,
@@ -217,20 +187,20 @@ QueryJournal::QueryJournal(size_t capacity)
   ring_.reserve(capacity_);
 }
 
-void QueryJournal::Append(AccessCertificate cert) {
+void QueryJournal::Append(JournalEntry entry) {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t seq = next_seq_++;
   if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(cert));
+    ring_.push_back(std::move(entry));
     return;
   }
   ++dropped_;
-  ring_[seq % capacity_] = std::move(cert);
+  ring_[seq % capacity_] = std::move(entry);
 }
 
-std::vector<AccessCertificate> QueryJournal::certificates() const {
+std::vector<JournalEntry> QueryJournal::entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<AccessCertificate> out;
+  std::vector<JournalEntry> out;
   out.reserve(ring_.size());
   if (ring_.size() < capacity_) {
     out = ring_;
@@ -398,14 +368,7 @@ Result<std::vector<JournalEntry>> JournalStore::Load(
   LoadRotatedJsonl(
       path(),
       [&](const JsonValue& line, const std::string& where) -> Status {
-        Result<AccessCertificate> cert = CertificateFromJsonValue(line);
-        if (!cert.ok()) return cert.status();
-        JournalEntry entry;
-        entry.cert = std::move(cert).ValueOrDie();
-        entry.latency_ms = line.NumberOr("latency_ms", -1.0);
-        entry.noncontrollable = line.BoolOr("noncontrollable", false);
-        entry.client_tag = line.StringOr("client_tag", "");
-        entry.seal_ok = VerifyCertificate(entry.cert);
+        SI_ASSIGN_OR_RETURN(JournalEntry entry, JournalEntryFromJson(line));
         if (entry.seal_ok) {
           ++local.sealed_ok;
         } else {
@@ -423,7 +386,7 @@ Result<std::vector<JournalEntry>> JournalStore::Load(
 }
 
 std::string QueryJournal::ToJson() const {
-  std::vector<AccessCertificate> snapshot = certificates();
+  std::vector<JournalEntry> snapshot = entries();
   uint64_t appended;
   uint64_t dropped;
   {
@@ -437,7 +400,9 @@ std::string QueryJournal::ToJson() const {
                     ",\"certificates\":[";
   for (size_t i = 0; i < snapshot.size(); ++i) {
     if (i > 0) out += ",";
-    out += CertificateToJson(snapshot[i]);
+    const JournalEntry& e = snapshot[i];
+    out += JournalLineJson(e.cert, e.latency_ms, e.noncontrollable,
+                           e.client_tag);
   }
   out += "]}";
   return out;

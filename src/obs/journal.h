@@ -87,28 +87,28 @@ std::string JournalLineJson(const AccessCertificate& cert, double latency_ms,
 /// returns false for an unknown name.
 bool CertVerdictFromName(std::string_view name, CertVerdict* out);
 
-/// Reads certificates back out of dumped JSON — the offline side of the
-/// `certify <file>` shell command (a JSONL journal goes through
-/// JournalStore::Load instead). Accepts a whole post-mortem dump
-/// (`{"journal": {...}}`), a bare journal object
-/// (`{"certificates": [...]}`), or a bare certificate array. Every numeric
-/// field round-trips exactly (emitters print doubles with the same %.6g the
-/// parser reads back), so `VerifyCertificate` re-derives signatures from
-/// parsed certificates byte-for-byte.
-Result<std::vector<AccessCertificate>> CertificatesFromDumpJson(
-    std::string_view json);
-
-/// One replayed journal line: the sealed certificate plus the non-sealed
-/// sibling fields the store records next to it. Latency is observational
-/// (it varies run to run) so it lives *outside* the sealed payload —
-/// certificates stay byte-identical across thread counts and reruns.
+/// One journal record: the sealed certificate plus the non-sealed sibling
+/// fields recorded next to it — the same record in the in-memory ring, in a
+/// dump's certificate array and on a JournalStore line. Latency is
+/// observational (it varies run to run) so it lives *outside* the sealed
+/// payload — certificates stay byte-identical across thread counts and
+/// reruns.
 struct JournalEntry {
   AccessCertificate cert;
   double latency_ms = -1.0;     ///< < 0 when unknown
   bool noncontrollable = false; ///< evaluation failed Thm 4.2 controllability
   std::string client_tag;       ///< serve-layer trace tag; empty when untagged
-  bool seal_ok = false;         ///< VerifyCertificate at load time
+  bool seal_ok = false;         ///< VerifyCertificate when read back
 };
+
+struct JsonValue;
+
+/// Reads one record back from its JSON object (JournalLineJson's shape) and
+/// re-verifies its seal — the one parse behind JournalStore::Load and the
+/// dump reader. Every numeric field round-trips exactly (emitters print
+/// doubles with the same %.6g the parser reads back), so the seal check
+/// re-derives signatures byte-for-byte.
+Result<JournalEntry> JournalEntryFromJson(const JsonValue& object);
 
 /// What a pass over a rotated JSONL stream found: the generations read and
 /// the lines skipped as malformed, each described as "file:line: why" in
@@ -118,8 +118,6 @@ struct JsonlLoadReport {
   size_t malformed = 0;
   std::vector<std::string> errors;
 };
-
-struct JsonValue;
 
 /// The one offline reader of a RotatingJsonlFile: replays every surviving
 /// generation oldest-first (`path.2`, `path.1`, `path`), so lines arrive in
@@ -229,10 +227,11 @@ class JournalStore {
   RotatingJsonlFile file_;
 };
 
-/// Fixed-size ring of sealed certificates, one per completed query — the
+/// Fixed-size ring of journal records, one per completed query — the
 /// query journal the `journal`/`certify` shell commands read and post-mortem
-/// dumps embed. Same eviction contract as the flight recorder: strict FIFO,
-/// `dropped()` counts evictions.
+/// dumps embed. Each record is the one a JournalStore line carries, so a dump
+/// and a journal file read back the same way. Same eviction contract as the
+/// flight recorder: strict FIFO, `dropped()` counts evictions.
 class QueryJournal {
  public:
   explicit QueryJournal(size_t capacity = kDefaultCapacity);
@@ -241,23 +240,24 @@ class QueryJournal {
 
   static constexpr size_t kDefaultCapacity = 256;
 
-  void Append(AccessCertificate cert);
+  void Append(JournalEntry entry);
 
   /// Snapshot oldest → newest.
-  std::vector<AccessCertificate> certificates() const;
+  std::vector<JournalEntry> entries() const;
   size_t size() const;
   size_t capacity() const { return capacity_; }
   uint64_t total_appended() const;
   uint64_t dropped() const;
   void Clear();
 
-  /// {"capacity":...,"appended":...,"dropped":...,"certificates":[...]}
+  /// {"capacity":...,"appended":...,"dropped":...,"certificates":[...]},
+  /// one JournalLineJson object per record.
   std::string ToJson() const;
 
  private:
   mutable std::mutex mu_;
   const size_t capacity_;
-  std::vector<AccessCertificate> ring_;  ///< ring_[seq % capacity_] saturated
+  std::vector<JournalEntry> ring_;  ///< ring_[seq % capacity_] saturated
   uint64_t next_seq_ = 0;
   uint64_t dropped_ = 0;
 };

@@ -473,12 +473,7 @@ Result<std::string> Server::Submit(const std::string& sid,
   }
   std::string response =
       StrFormat("q%llu ", static_cast<unsigned long long>(qid.seq)) +
-      decision.ToString() + tag_echo + "\n" + out.rendered +
-      StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n", out.answers,
-                static_cast<unsigned long long>(out.fetched),
-                out.complete ? "" : ", partial");
-  if (!out.complete) response += "tripped: " + out.trip.ToString() + "\n";
-  response += out.warnings;
+      decision.ToString() + tag_echo + "\n" + out.ToString();
   t.done_ns = obs::MonotonicNowNs();
   response += EmitLifecycle(plan, qid, sid, client_tag, decision, &out, t,
                             response.size());
@@ -523,16 +518,10 @@ Result<std::string> Server::HandleLine(const std::string& sid,
     if (!options_.scripted) {
       return Status::InvalidArgument("#busy is a scripted-mode directive");
     }
-    std::string arg(StripWhitespace(line.substr(5)));
-    uint64_t n = 0;
-    for (char c : arg) {
-      if (c < '0' || c > '9') {
-        return Status::InvalidArgument("usage: #busy <n>");
-      }
-      n = n * 10 + static_cast<uint64_t>(c - '0');
-    }
+    Result<uint64_t> n = ParseU64(StripWhitespace(line.substr(5)));
+    if (!n.ok()) return Status::InvalidArgument("usage: #busy <n>");
     std::lock_guard<std::mutex> lock(mu_);
-    synthetic_running_ = static_cast<size_t>(n);
+    synthetic_running_ = static_cast<size_t>(*n);
     return StrFormat("busy %zu\n", synthetic_running_);
   }
   if (StartsWith(line, "eval ")) {

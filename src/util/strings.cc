@@ -54,6 +54,20 @@ Result<uint64_t> ParseU64(std::string_view text) {
   return out;
 }
 
+Result<int64_t> ParseI64(std::string_view text) {
+  const bool negative = !text.empty() && text[0] == '-';
+  SI_ASSIGN_OR_RETURN(uint64_t magnitude,
+                      ParseU64(text.substr(negative ? 1 : 0)));
+  // INT64_MIN's magnitude is one more than INT64_MAX's.
+  const uint64_t limit = static_cast<uint64_t>(INT64_MAX) + (negative ? 1 : 0);
+  if (magnitude > limit) {
+    return Status::InvalidArgument("number out of range: '" +
+                                   std::string(text) + "'");
+  }
+  return negative ? static_cast<int64_t>(0 - magnitude)
+                  : static_cast<int64_t>(magnitude);
+}
+
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

@@ -28,6 +28,10 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// character, or when the value exceeds 2^64-1.
 Result<uint64_t> ParseU64(std::string_view text);
 
+/// Parses `text` as a decimal int64: an optional '-' then what ParseU64
+/// accepts. InvalidArgument outside [INT64_MIN, INT64_MAX].
+Result<int64_t> ParseI64(std::string_view text);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -51,6 +51,9 @@ TEST(FailpointSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(
       ParseFailpointSpec("scan_next=error(every:0)", &configs, &seed).ok());
   EXPECT_FALSE(ParseFailpointSpec("seed=abc", &configs, &seed).ok());
+  // A seed past 2^64-1 is refused, not wrapped.
+  EXPECT_FALSE(
+      ParseFailpointSpec("seed=18446744073709551616", &configs, &seed).ok());
 }
 
 TEST(FailpointTest, DisarmedSitesAreFreeAndOk) {

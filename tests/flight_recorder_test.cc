@@ -39,6 +39,13 @@ struct GlobalRecorderGuard {
   ~GlobalRecorderGuard() { FlightRecorder::InstallGlobal(nullptr); }
 };
 
+/// The sealed certificates of a journal's records, oldest first.
+std::vector<AccessCertificate> Certs(const QueryJournal& journal) {
+  std::vector<AccessCertificate> out;
+  for (JournalEntry& e : journal.entries()) out.push_back(std::move(e.cert));
+  return out;
+}
+
 TEST(FlightRecorderTest, AppendAndSnapshot) {
   FlightRecorder rec(8);
   rec.Append(EventKind::kQueryStart, "q1", {EventArg("bound", 100.0)});
@@ -169,14 +176,16 @@ TEST(JournalTest, RingEvictsOldestCertificates) {
     AccessCertificate cert;
     cert.query_fingerprint = "fp" + std::to_string(i);
     SealCertificate(&cert);
-    journal.Append(std::move(cert));
+    journal.Append(JournalEntry{std::move(cert), static_cast<double>(i),
+                                false, ""});
   }
   EXPECT_EQ(journal.size(), 2u);
   EXPECT_EQ(journal.dropped(), 3u);
-  std::vector<AccessCertificate> certs = journal.certificates();
-  ASSERT_EQ(certs.size(), 2u);
-  EXPECT_EQ(certs[0].query_fingerprint, "fp3");
-  EXPECT_EQ(certs[1].query_fingerprint, "fp4");
+  std::vector<JournalEntry> entries = journal.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].cert.query_fingerprint, "fp3");
+  EXPECT_EQ(entries[1].cert.query_fingerprint, "fp4");
+  EXPECT_EQ(entries[1].latency_ms, 4.0);
 }
 
 TEST(DumpTest, ParseMetricsDumpSpec) {
@@ -261,7 +270,7 @@ TEST(ShellObservabilityTest, EvalSealsCertificates) {
   must(eval);
 
   // Certificate: sealed, within bound, verifiable offline.
-  std::vector<AccessCertificate> certs = shell.journal().certificates();
+  std::vector<AccessCertificate> certs = Certs(shell.journal());
   ASSERT_EQ(certs.size(), 1u);
   EXPECT_EQ(certs[0].verdict, CertVerdict::kWithinBound);
   EXPECT_LE(certs[0].actual_fetches,
@@ -272,7 +281,7 @@ TEST(ShellObservabilityTest, EvalSealsCertificates) {
   must("limit fetch=1");
   std::string out = must(eval);
   EXPECT_NE(out.find("tripped"), std::string::npos);
-  certs = shell.journal().certificates();
+  certs = Certs(shell.journal());
   ASSERT_EQ(certs.size(), 2u);
   EXPECT_EQ(certs[1].verdict, CertVerdict::kTripped);
   EXPECT_TRUE(certs[1].tripped);
@@ -309,13 +318,61 @@ TEST(ShellObservabilityTest, EvalSealsCertificates) {
   std::remove(path.c_str());
 }
 
-TEST(ShellObservabilityTest, SlowlogCommand) {
-  Shell shell;
-  EXPECT_NE(shell.Execute("slowlog")->find("off"), std::string::npos);
-  EXPECT_NE(shell.Execute("slowlog 250")->find("250 ms"), std::string::npos);
-  EXPECT_NE(shell.Execute("slowlog")->find("250 ms"), std::string::npos);
-  EXPECT_NE(shell.Execute("slowlog off")->find("off"), std::string::npos);
-  EXPECT_FALSE(shell.Execute("slowlog abc").ok());
+/// A dump whose tripped verdict was hand-edited to within-bound must not
+/// read as genuine: certify lists the record as SIGNATURE-MISMATCH, keeps it
+/// out of the rankings and violations, and fails with DataLoss.
+TEST(ShellObservabilityTest, CertifyReportRanksOnlySealedRecords) {
+  const std::string path = "test_forged_dump.json";
+  std::string forged_qid;
+  {
+    Shell shell;
+    for (const char* line :
+         {"schema relation person(id, name, city)",
+          "schema relation friend(id1, id2)", "access access friend(id1) N=50",
+          "access key person(id)", "row person 1,\"ada\",\"NYC\"",
+          "row person 2,\"bob\",\"NYC\"", "row friend 1,2"}) {
+      ASSERT_TRUE(shell.Execute(line).ok()) << line;
+    }
+    const std::string eval =
+        "eval p=1 Q(p, name) := exists id. friend(p, id) and person(id, "
+        "name, \"NYC\")";
+    ASSERT_TRUE(shell.Execute(eval).ok());
+    ASSERT_TRUE(shell.Execute("limit fetch=1").ok());
+    ASSERT_TRUE(shell.Execute(eval).ok());
+    std::vector<AccessCertificate> certs = Certs(shell.journal());
+    ASSERT_EQ(certs.size(), 2u);
+    ASSERT_EQ(certs[1].verdict, CertVerdict::kTripped);
+    forged_qid = certs[1].query_id;
+    ASSERT_TRUE(shell.Execute("dump " + path).ok());
+  }
+  std::string text = ReadFile(path);
+  const size_t pos = text.find("\"verdict\":\"tripped\"");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 19, "\"verdict\":\"within-bound\"");
+  { std::ofstream(path, std::ios::trunc) << text; }
+
+  Shell reader;
+  Result<std::string> out = reader.Execute("certify " + path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kDataLoss);
+  const std::string& report = out.status().message();
+  EXPECT_NE(report.find("1/2 certificates failed seal verification"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("within-bound SIGNATURE-MISMATCH"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("1/2 certificates verify"), std::string::npos);
+  const size_t rankings = report.find("== top queries by fetches");
+  ASSERT_NE(rankings, std::string::npos) << report;
+  EXPECT_EQ(report.find(forged_qid, rankings), std::string::npos) << report;
+  EXPECT_NE(report.find("== certificate violations ==\n  none"),
+            std::string::npos)
+      << report;
+  // The recorder section still renders: the genuine trip stays on the
+  // timeline even though its certificate no longer verifies.
+  EXPECT_NE(report.find("== trip timeline ==\n  +"), std::string::npos)
+      << report;
 }
 
 TEST(ShellObservabilityTest, StatsWatchLifecycle) {

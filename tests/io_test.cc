@@ -60,13 +60,34 @@ TEST(IoTest, AccessSchemaValidatedAgainstSchema) {
 }
 
 TEST(IoTest, CsvValueTyping) {
-  EXPECT_EQ(ParseCsvValue("42"), Value::Int(42));
-  EXPECT_EQ(ParseCsvValue("-7"), Value::Int(-7));
-  EXPECT_EQ(ParseCsvValue("NYC"), Value::Str("NYC"));
-  EXPECT_EQ(ParseCsvValue("\"42\""), Value::Str("42"));  // quoted stays string
-  EXPECT_EQ(ParseCsvValue("  hello "), Value::Str("hello"));
-  EXPECT_EQ(ParseCsvValue("12ab"), Value::Str("12ab"));
-  EXPECT_EQ(ParseCsvValue("-"), Value::Str("-"));
+  EXPECT_EQ(*ParseCsvValue("42"), Value::Int(42));
+  EXPECT_EQ(*ParseCsvValue("-7"), Value::Int(-7));
+  EXPECT_EQ(*ParseCsvValue("NYC"), Value::Str("NYC"));
+  EXPECT_EQ(*ParseCsvValue("\"42\""), Value::Str("42"));  // quoted stays string
+  EXPECT_EQ(*ParseCsvValue("  hello "), Value::Str("hello"));
+  EXPECT_EQ(*ParseCsvValue("12ab"), Value::Str("12ab"));
+  EXPECT_EQ(*ParseCsvValue("-"), Value::Str("-"));
+}
+
+// Integers are exactly int64: both edges parse, one past either edge is an
+// error instead of an uncaught exception.
+TEST(IoTest, CsvIntegerRangeEdges) {
+  EXPECT_EQ(*ParseCsvValue("9223372036854775807"), Value::Int(INT64_MAX));
+  EXPECT_EQ(*ParseCsvValue("-9223372036854775808"), Value::Int(INT64_MIN));
+  for (const char* out_of_range :
+       {"9223372036854775808", "-9223372036854775809",
+        "99999999999999999999"}) {
+    Result<Value> v = ParseCsvValue(out_of_range);
+    ASSERT_FALSE(v.ok()) << out_of_range;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+  }
+  Result<Schema> s = ParseSchemaText("relation r(a, b)\n");
+  ASSERT_TRUE(s.ok());
+  Database db(*s);
+  Status load = LoadRelationCsv(&db, "r", "1,2\n3,99999999999999999999\n");
+  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(load.message().find("r line 2"), std::string::npos)
+      << load.message();
 }
 
 TEST(IoTest, LoadRelationCsvRoundTrip) {

@@ -27,6 +27,7 @@
 #include "serve/server.h"
 #include "serve/session.h"
 #include "util/failpoint.h"
+#include "util/strings.h"
 
 namespace scalein::serve {
 namespace {
@@ -276,6 +277,23 @@ TEST(FrameTest, CorruptPrefixSurfacesAsErrorFrame) {
   EXPECT_NE(payload.find("frame error"), std::string::npos);
 }
 
+TEST(FrameTest, OverflowingLengthIsAFrameErrorAndZeroIsEmpty) {
+  bool ok = false;
+  std::string payload = "x";
+  FrameDecoder empty;
+  empty.Feed("+0\n");
+  ASSERT_TRUE(empty.Next(&ok, &payload));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(payload, "");
+  // One past 2^64-1 used to wrap to a small length and mis-frame the stream.
+  FrameDecoder decoder;
+  decoder.Feed("+18446744073709551616\nabc");
+  ASSERT_TRUE(decoder.Next(&ok, &payload));
+  EXPECT_FALSE(ok);
+  EXPECT_NE(payload.find("frame error"), std::string::npos) << payload;
+  EXPECT_FALSE(decoder.Next(&ok, &payload));
+}
+
 // ---------------------------------------------------------------------------
 // Server: scripted end-to-end, determinism, preemption, refusal certify.
 
@@ -328,6 +346,50 @@ TEST(ServerTest, AdmitsEvaluatesAndAccountsBudget) {
   EXPECT_NE(budget.find("remaining=116"), std::string::npos) << budget;
 }
 
+// Served queries journal their latency next to the sealed certificate, so
+// the certify report ranks them in its slowest section.
+TEST(ServerTest, CertifyReportsServedQueriesAmongTheSlowest) {
+  Shell shell;
+  LoadCatalog(&shell);
+  Server server(&shell, Server::Options());
+  ASSERT_TRUE(server.Start().ok());
+  MustLine(&server, "a", "hello");
+  MustLine(&server, "a", kFriendEval);
+  MustLine(&server, "a", kFriendEval);
+  const std::string report = MustLine(&server, "a", "certify");
+  const size_t slowest = report.find("== slowest queries");
+  ASSERT_NE(slowest, std::string::npos) << report;
+  const std::vector<obs::JournalEntry> entries = shell.journal().entries();
+  ASSERT_EQ(entries.size(), 2u);
+  for (const obs::JournalEntry& e : entries) {
+    ASSERT_GE(e.latency_ms, 0.0);
+    EXPECT_NE(report.find(e.cert.query_id + "  " +
+                              StrFormat("%.3f ms", e.latency_ms),
+                          slowest),
+              std::string::npos)
+        << report;
+  }
+}
+
+// An integer outside int64 — in a binding or a query literal — is an error
+// reply on that line; it used to abort the process for every session.
+TEST(ServerTest, OversizedIntegerIsAnErrorReplyAndTheSessionKeepsServing) {
+  Shell shell;
+  LoadCatalog(&shell);
+  Server server(&shell, Server::Options());
+  ASSERT_TRUE(server.Start().ok());
+  MustLine(&server, "a", "hello");
+  for (const char* line :
+       {"eval p=99999999999999999999 F(p, id) := friend(p, id)",
+        "eval p=1 F(p) := friend(p, 99999999999999999999)"}) {
+    Result<std::string> refused = server.HandleLine("a", line);
+    ASSERT_FALSE(refused.ok()) << line;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  std::string next = MustLine(&server, "a", kFriendEval);
+  EXPECT_NE(next.find("2 answers"), std::string::npos) << next;
+}
+
 TEST(ServerTest, RefusalVerdictsAreJournaledAndCertifiable) {
   const std::string jpath =
       ::testing::TempDir() + "serve_refusals.jsonl";
@@ -371,6 +433,14 @@ TEST(ServerTest, QueueTimeoutShedsAndSlotReleaseReadmits) {
   EXPECT_NE(shed.find("reject(queue-timeout)"), std::string::npos) << shed;
   EXPECT_NE(shed.find("retry-after=20ms"), std::string::npos) << shed;
   MustLine(&server, "a", "#busy 0");
+  // The directive's count is a checked decimal: bare or overflowing is a
+  // usage error, not a wrapped slot count.
+  for (const char* bad : {"#busy", "#busy 18446744073709551616"}) {
+    Result<std::string> refused = server.HandleLine("a", bad);
+    ASSERT_FALSE(refused.ok()) << bad;
+    EXPECT_NE(refused.status().message().find("usage: #busy"),
+              std::string::npos);
+  }
   std::string ok = MustLine(&server, "a", kFriendEval);
   EXPECT_NE(ok.find("admit"), std::string::npos) << ok;
   EXPECT_EQ(server.queue_depth(), 0u);

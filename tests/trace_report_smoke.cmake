@@ -1,10 +1,10 @@
-# Smoke test for scripts/trace_report.py, run via `cmake -P` from ctest:
-# drive the shell binary through the acceptance scenario (a bounded query,
-# one governor trip, exit), post-mortem-dump on exit, then check that the
-# report lists the tripped query. Variables passed in by tests/CMakeLists.txt:
+# Post-mortem report smoke, run via `cmake -P` from ctest: drive the shell
+# binary through the acceptance scenario (a bounded query, one governor
+# trip, exit), post-mortem-dump on exit, then have a fresh shell session
+# (empty journal) render `certify <dump>` — the seal check plus the report —
+# and check that it verifies every seal and lists the tripped query.
+# Variables passed in by tests/CMakeLists.txt:
 #   SHELL_BIN  — path to the scalein_shell example binary
-#   PYTHON     — Python3 interpreter
-#   REPORT     — path to scripts/trace_report.py
 #   WORK_DIR   — scratch directory for the script/dump files
 
 set(script "${WORK_DIR}/trace_report_smoke_input.txt")
@@ -36,25 +36,6 @@ if(NOT EXISTS "${dump}")
   message(FATAL_ERROR "shell exit did not write the post-mortem dump")
 endif()
 
-execute_process(
-  COMMAND "${PYTHON}" "${REPORT}" "${dump}"
-  RESULT_VARIABLE report_rc
-  OUTPUT_VARIABLE report_out
-  ERROR_VARIABLE report_err)
-if(NOT report_rc EQUAL 0)
-  message(FATAL_ERROR "trace_report.py failed (rc=${report_rc}): ${report_err}")
-endif()
-foreach(needle "dump reason: shell-exit" "[tripped]" "governor-trip"
-        "within-bound")
-  string(FIND "${report_out}" "${needle}" pos)
-  if(pos EQUAL -1)
-    message(FATAL_ERROR
-            "report is missing '${needle}':\n${report_out}")
-  endif()
-endforeach()
-
-# Offline certify: a fresh shell session (empty journal) re-verifies the
-# certificates sealed by the first session straight from the dump file.
 set(certify_script "${WORK_DIR}/trace_report_smoke_certify.txt")
 file(WRITE "${certify_script}" "certify ${dump}
 quit
@@ -63,16 +44,17 @@ execute_process(
   COMMAND "${SHELL_BIN}"
   INPUT_FILE "${certify_script}"
   RESULT_VARIABLE certify_rc
-  OUTPUT_VARIABLE certify_out
+  OUTPUT_VARIABLE report_out
   ERROR_VARIABLE certify_err)
 if(NOT certify_rc EQUAL 0)
   message(FATAL_ERROR "offline certify failed (rc=${certify_rc}): ${certify_err}")
 endif()
-foreach(needle "2/2 certificates verify" "signature-ok" "tripped")
-  string(FIND "${certify_out}" "${needle}" pos)
+foreach(needle "dump reason: shell-exit" "[tripped]" "governor-trip"
+        "within-bound" "2/2 certificates verify" "signature-ok")
+  string(FIND "${report_out}" "${needle}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR
-            "offline certify output is missing '${needle}':\n${certify_out}")
+            "report is missing '${needle}':\n${report_out}")
   endif()
 endforeach()
 message(STATUS "trace_report smoke OK")

@@ -73,6 +73,20 @@ TEST(StringsTest, ParseU64AcceptsOnlyInRangeDecimals) {
             std::string::npos);
 }
 
+TEST(StringsTest, ParseI64AcceptsExactlyTheInt64Range) {
+  EXPECT_EQ(*ParseI64("0"), 0);
+  EXPECT_EQ(*ParseI64("-42"), -42);
+  EXPECT_EQ(*ParseI64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(*ParseI64("-9223372036854775808"), INT64_MIN);
+  for (const char* bad : {"", "-", "+1", "--1", " 1", "1x",
+                          "9223372036854775808", "-9223372036854775809",
+                          "99999999999999999999"}) {
+    Result<int64_t> parsed = ParseI64(bad);
+    EXPECT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(StringsTest, StrFormatAndHash) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%s", ""), "");

@@ -42,6 +42,13 @@ AccessCertificate MakeCert(int i) {
   return cert;
 }
 
+/// The sealed certificates of a journal's records, oldest first.
+std::vector<AccessCertificate> Certs(const QueryJournal& journal) {
+  std::vector<AccessCertificate> out;
+  for (JournalEntry& e : journal.entries()) out.push_back(std::move(e.cert));
+  return out;
+}
+
 std::string Must(Shell* shell, std::string_view line) {
   Result<std::string> out = shell->Execute(line);
   SI_CHECK_MSG(out.ok(), out.status().message().c_str());
@@ -210,7 +217,7 @@ TEST(WorkloadShellTest, NonControllableEvalIsTalliedAndJournaled) {
             std::string::npos);
   EXPECT_NE(top.find("nonctrl=1"), std::string::npos);
   // The rejected query still sealed a no-static-bound certificate.
-  std::vector<AccessCertificate> certs = shell.journal().certificates();
+  std::vector<AccessCertificate> certs = Certs(shell.journal());
   ASSERT_EQ(certs.size(), 2u);
   EXPECT_EQ(certs[1].verdict, CertVerdict::kNoStaticBound);
   EXPECT_TRUE(VerifyCertificate(certs[1]));
@@ -286,7 +293,7 @@ TEST(WorkloadShellTest, JournalAppendFailureWarnsButEvaluationSucceeds) {
       << *out;
   // The in-memory journal still carries the sealed certificate; only the
   // persistent store missed it.
-  EXPECT_EQ(shell.journal().certificates().size(), 1u);
+  EXPECT_EQ(Certs(shell.journal()).size(), 1u);
   ASSERT_NE(shell.journal_store(), nullptr);
   EXPECT_EQ(shell.journal_store()->appended(), 0u);
   RemoveJournalFiles(path);
@@ -313,7 +320,7 @@ TEST(JournalStoreTest, RotateFailpointFailsAppendThenRecovers) {
 TEST(WorkloadShellTest, QueryIdJoinsCertificateEventsAndMetrics) {
   Shell shell = LoadedShell();
   Must(&shell, kFriendQuery);
-  std::vector<AccessCertificate> certs = shell.journal().certificates();
+  std::vector<AccessCertificate> certs = Certs(shell.journal());
   ASSERT_EQ(certs.size(), 1u);
   const std::string qid = certs[0].query_id;
   ASSERT_FALSE(qid.empty());
@@ -333,7 +340,7 @@ TEST(WorkloadShellTest, QueryIdJoinsCertificateEventsAndMetrics) {
             std::string::npos);
   // A second eval mints the next sequence number.
   Must(&shell, kFriendQuery);
-  certs = shell.journal().certificates();
+  certs = Certs(shell.journal());
   ASSERT_EQ(certs.size(), 2u);
   EXPECT_EQ(certs[1].query_id,
             RenderQueryId(QueryId{SessionFingerprint(), 2}));
